@@ -133,6 +133,11 @@ type FleetHealth struct {
 	// Merged/Rejected count reported unit results by fate.
 	Merged   int64 `json:"merged"`
 	Rejected int64 `json:"rejected"`
+	// DispatchOnly marks a coordinator that runs no unit itself
+	// (-fleet-local < 0): its pending units wait for a runner, so
+	// pending units with no runner on the roster are starved. On any
+	// other server its own local lessees take them.
+	DispatchOnly bool `json:"dispatchOnly,omitempty"`
 	// RunnerDetail lists the per-runner vitals, sorted by ID.
 	RunnerDetail []RunnerHealth `json:"runnerDetail,omitempty"`
 }

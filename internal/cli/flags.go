@@ -76,9 +76,10 @@ type ServerOptions struct {
 	LeaseExpiry time.Duration
 	// FleetBatchMax caps one fleet lease grant (0 = 64 units).
 	FleetBatchMax int
-	// FleetLocal sizes the coordinator's own share of plan-unit
-	// execution: 0 = the planner's resolved pool, >0 pins the local
-	// slot count, <0 = dispatch-only (every unit must run on a runner).
+	// FleetLocal sizes each job's local lessees on the coordinator:
+	// 0 = the scenario's Sim.Parallel, >0 pins the count, <0 =
+	// dispatch-only (every unit, single runs included, must run on a
+	// runner).
 	FleetLocal int
 }
 
@@ -101,7 +102,7 @@ func RegisterServerFlags(fs *flag.FlagSet, o *ServerOptions) {
 	fs.StringVar(&o.RunnerID, "runner-id", o.RunnerID, "fleet roster name for this runner with -join (empty = host.pid)")
 	fs.DurationVar(&o.LeaseExpiry, "lease-expiry", o.LeaseExpiry, "fleet lease lifetime; a runner silent for this long is presumed dead and its units are re-granted (0 = 15s)")
 	fs.IntVar(&o.FleetBatchMax, "batch-max", o.FleetBatchMax, "maximum plan units per fleet lease grant (0 = 64)")
-	fs.IntVar(&o.FleetLocal, "fleet-local", o.FleetLocal, "coordinator's own plan-unit execution slots: 0 = the planner's pool, >0 pins the count, negative = dispatch-only")
+	fs.IntVar(&o.FleetLocal, "fleet-local", o.FleetLocal, "local lessees per job, each running one of the job's units at a time in this process: 0 = the scenario's sim.parallel (default all CPUs), >0 pins the count, negative = dispatch-only (every unit, single runs included, runs on a -join runner)")
 }
 
 // SignalContext returns a context cancelled by SIGINT/SIGTERM. The

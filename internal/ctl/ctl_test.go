@@ -306,7 +306,7 @@ func TestDiagnoseHeuristics(t *testing.T) {
 		}
 	})
 	t.Run("runner-starved", func(t *testing.T) {
-		h := api.Health{QueueCapacity: 8, Fleet: &api.FleetHealth{PendingUnits: 4, Runners: 0}}
+		h := api.Health{QueueCapacity: 8, Fleet: &api.FleetHealth{PendingUnits: 4, Runners: 0, DispatchOnly: true}}
 		fs := Diagnose(h, Metrics{}, nil, nil)
 		if !names(fs)["runner-starved"] || warns(fs) == 0 {
 			t.Fatalf("findings: %+v", fs)
@@ -315,6 +315,12 @@ func TestDiagnoseHeuristics(t *testing.T) {
 		h.Fleet.Runners = 1
 		if fs := Diagnose(h, Metrics{}, nil, nil); names(fs)["runner-starved"] {
 			t.Fatalf("runner-starved fired with a live runner: %+v", fs)
+		}
+		// A server that runs units itself drains its own pending queue:
+		// parked units without runners are local backlog, not starvation.
+		h.Fleet.Runners, h.Fleet.DispatchOnly = 0, false
+		if fs := Diagnose(h, Metrics{}, nil, nil); names(fs)["runner-starved"] {
+			t.Fatalf("runner-starved fired on a server with local lessees: %+v", fs)
 		}
 	})
 	t.Run("lease-thrash", func(t *testing.T) {

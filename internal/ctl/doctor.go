@@ -167,7 +167,7 @@ func Diagnose(h api.Health, m Metrics, first, second []api.JobView) []Finding {
 	}
 
 	if f := h.Fleet; f != nil {
-		if f.PendingUnits > 0 && f.Runners == 0 {
+		if f.DispatchOnly && f.PendingUnits > 0 && f.Runners == 0 {
 			out = append(out, Finding{Warn: true, Name: "runner-starved",
 				Detail: fmt.Sprintf("%d plan unit(s) parked for the fleet with zero runners on the roster — start runners (dynschedd -join) or avoid -fleet-local=-1", f.PendingUnits)})
 		}

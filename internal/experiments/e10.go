@@ -75,7 +75,7 @@ func E10Ablation(ctx context.Context, scale Scale, seed int64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		frac := float64(res.Delivered) / float64(max64(res.Injected, 1))
+		frac := float64(res.Delivered) / float64(max(res.Injected, 1))
 		tbl.AddRow(
 			v.name,
 			fmtI(int(proto.Failures)), fmtI(int(proto.CleanupDelivered)),
@@ -87,11 +87,4 @@ func E10Ablation(ctx context.Context, scale Scale, seed int64) (*Table, error) {
 		"every channel loss is permanent — failed-buffer = failures — so the failed population " +
 		"grows linearly forever even while the total-queue verdict looks calm over a finite run")
 	return tbl, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

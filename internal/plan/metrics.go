@@ -8,19 +8,17 @@ import (
 
 // Metrics is the planner's instrument bundle: how many units ran
 // fresh, were served from the cache, or failed, and the wall time of
-// the fresh runs. One bundle serves every plan executed through the
-// same Options wiring (dynschedd shares one across all jobs).
+// the fresh runs. It counts work where it happens — a unit executed by
+// a remote runner is counted by that runner's bundle, not by the
+// coordinator's — so UnitSeconds measures local execution cost only:
+// a runner's batch controller sizes leases from its own histogram.
+// One bundle serves every plan executed by the same process
+// (dynschedd shares one across all jobs).
 type Metrics struct {
 	UnitsRun    *metrics.Counter
 	UnitsCached *metrics.Counter
 	UnitsFailed *metrics.Counter
-	// UnitsDelegated counts units completed through Options.Delegate —
-	// executed by a remote runner rather than the local pool. Their
-	// wall time (queueing and network included) is deliberately kept
-	// out of UnitSeconds, which measures local execution cost only: a
-	// runner's batch controller sizes leases from its own histogram.
-	UnitsDelegated *metrics.Counter
-	UnitSeconds    *metrics.Histogram
+	UnitSeconds *metrics.Histogram
 }
 
 // unitSecondsBuckets spans 1ms to ~17min: CI-scale units finish in
@@ -29,38 +27,27 @@ var unitSecondsBuckets = metrics.ExpBuckets(0.001, 2, 20)
 
 // NewMetrics registers the planner instruments on r (idempotent).
 func NewMetrics(r *metrics.Registry) *Metrics {
+	units := r.CounterVec("dynsched_plan_units_total", "Plan units by outcome: run fresh, served from cache, or failed.", "outcome")
 	return &Metrics{
-		UnitsRun:       r.CounterVec("dynsched_plan_units_total", "Plan units by outcome: run fresh, served from cache, or failed.", "outcome").With("run"),
-		UnitsCached:    r.CounterVec("dynsched_plan_units_total", "Plan units by outcome: run fresh, served from cache, or failed.", "outcome").With("cached"),
-		UnitsFailed:    r.CounterVec("dynsched_plan_units_total", "Plan units by outcome: run fresh, served from cache, or failed.", "outcome").With("failed"),
-		UnitsDelegated: r.CounterVec("dynsched_plan_units_total", "Plan units by outcome: run fresh, served from cache, or failed.", "outcome").With("delegated"),
-		UnitSeconds:    r.Histogram("dynsched_plan_unit_seconds", "Wall time of freshly-executed plan units (cache hits excluded).", unitSecondsBuckets),
+		UnitsRun:    units.With("run"),
+		UnitsCached: units.With("cached"),
+		UnitsFailed: units.With("failed"),
+		UnitSeconds: r.Histogram("dynsched_plan_unit_seconds", "Wall time of freshly-executed plan units (cache hits excluded).", unitSecondsBuckets),
 	}
 }
 
-// observeDelegated records one unit completed by a remote runner (or
-// its failure — remote failures count like local ones).
-func (m *Metrics) observeDelegated(_ time.Duration, err error) {
-	if m == nil {
-		return
-	}
-	if err != nil {
-		m.UnitsFailed.Inc()
-		return
-	}
-	m.UnitsDelegated.Inc()
-}
-
-// observeCached records one cache-served unit.
-func (m *Metrics) observeCached() {
+// ObserveCached records one cache-served unit. A nil bundle is a
+// no-op.
+func (m *Metrics) ObserveCached() {
 	if m == nil {
 		return
 	}
 	m.UnitsCached.Inc()
 }
 
-// observeRun records one freshly-executed unit and its wall time.
-func (m *Metrics) observeRun(d time.Duration, err error) {
+// ObserveRun records one freshly-executed unit and its wall time (a
+// failure counts as failed, without a time). A nil bundle is a no-op.
+func (m *Metrics) ObserveRun(d time.Duration, err error) {
 	if m == nil {
 		return
 	}

@@ -25,9 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"time"
 
 	"dynsched/internal/sim"
 )
@@ -65,35 +63,6 @@ type Options[T any] struct {
 	// serialized and carry monotonic Progress counts; keep the callback
 	// cheap — it runs under the executor's accounting lock.
 	OnUnit func(u Unit, value T, cached bool, err error, p Progress)
-	// Metrics, when set, records every unit's outcome (run, cached,
-	// failed) and fresh-run wall time into the bundle's instruments.
-	Metrics *Metrics
-
-	// Delegate, when set, may execute a unit outside the local pool —
-	// dynschedd's coordinator hands units to its remote runner fleet
-	// through this hook. It is called from a pool worker before local
-	// execution and must do exactly one of two things:
-	//
-	//   - execute the unit elsewhere and return (value, true, err) —
-	//     the worker records the outcome without running fn; or
-	//   - receive one token from local (the local-execution semaphore)
-	//     and return (zero, false, nil) — the worker runs fn on this
-	//     goroutine and puts the token back afterwards.
-	//
-	// The token protocol is what lets a hybrid coordinator overlap
-	// local and remote execution without oversubscribing its own CPUs:
-	// Parallel bounds total in-flight units (local + delegated), while
-	// the semaphore bounds how many of them execute locally. A
-	// delegate that parks a unit for a remote runner should keep
-	// selecting on local so the unit can fall back to an idle local
-	// slot while it waits. Cancellation is reported as
-	// (zero, true, ctx.Err()).
-	Delegate func(ctx context.Context, u Unit, local chan struct{}) (T, bool, error)
-	// LocalParallel sizes the local-execution semaphore when Delegate
-	// is set: 0 means Parallel's resolved value, negative means no
-	// local execution at all (a dispatch-only coordinator — every unit
-	// must complete through Delegate). Ignored without Delegate.
-	LocalParallel int
 }
 
 // Outcome records every unit's fate, indexed by Unit.Index. Values may
@@ -181,31 +150,11 @@ func Execute[T any](ctx context.Context, units []Unit, opts Options[T], run func
 		}
 		if opts.Lookup != nil {
 			if v, ok := opts.Lookup(units[i]); ok {
-				opts.Metrics.observeCached()
 				finish(i, v, true, nil)
 				continue
 			}
 		}
 		pending = append(pending, i)
-	}
-
-	// The local-execution semaphore (Delegate only): Parallel bounds
-	// total in-flight units, these tokens bound how many run fn locally.
-	var localSem chan struct{}
-	if opts.Delegate != nil {
-		lp := opts.LocalParallel
-		if lp == 0 {
-			if lp = opts.Parallel; lp <= 0 {
-				lp = runtime.GOMAXPROCS(0)
-			}
-		}
-		if lp < 0 {
-			lp = 0 // dispatch-only: no tokens, units only complete remotely
-		}
-		localSem = make(chan struct{}, lp+1) // +1 headroom for a token bounced back mid-race
-		for t := 0; t < lp; t++ {
-			localSem <- struct{}{}
-		}
 	}
 
 	sim.ForEachCtx(ctx, len(pending), opts.Parallel, func(k int) {
@@ -214,22 +163,8 @@ func Execute[T any](ctx context.Context, units []Unit, opts Options[T], run func
 		// in-flight unit, and a unit's own resources are released as soon
 		// as it returns.
 		uctx, cancel := context.WithCancel(ctx)
-		if opts.Delegate != nil {
-			started := time.Now()
-			v, ok, err := opts.Delegate(uctx, units[i], localSem)
-			if ok {
-				cancel()
-				opts.Metrics.observeDelegated(time.Since(started), err)
-				finish(i, v, false, err)
-				return
-			}
-			// The delegate took a local token; run here and return it.
-			defer func() { localSem <- struct{}{} }()
-		}
-		started := time.Now()
 		v, err := run(uctx, units[i])
 		cancel()
-		opts.Metrics.observeRun(time.Since(started), err)
 		finish(i, v, false, err)
 	})
 

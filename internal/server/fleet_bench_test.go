@@ -49,12 +49,12 @@ func BenchmarkFleetSweep(b *testing.B) {
 
 			for i := 0; i < workers; i++ {
 				r := NewRunner(RunnerConfig{
-					Coordinator:  ts.URL,
-					ID:           fmt.Sprintf("bench-%d", i),
-					Parallel:     1,
-					ServiceFloor: benchServiceFloor,
-					LeaseWait:    200 * time.Millisecond,
+					Coordinator: ts.URL,
+					ID:          fmt.Sprintf("bench-%d", i),
+					Parallel:    1,
+					LeaseWait:   200 * time.Millisecond,
 				})
+				r.serviceFloor = benchServiceFloor
 				go r.Run(ctx)
 			}
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -12,6 +13,7 @@ import (
 
 	"dynsched"
 	"dynsched/api"
+	"dynsched/internal/ctl"
 )
 
 // startRunner boots an in-process fleet runner against the coordinator
@@ -37,7 +39,7 @@ func startRunner(t *testing.T, ts *httptest.Server, cfg RunnerConfig) *Runner {
 	return r
 }
 
-func fleetHealth(t *testing.T, ts *httptest.Server) *api.FleetHealth {
+func getHealth(t *testing.T, ts *httptest.Server) api.Health {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -48,7 +50,12 @@ func fleetHealth(t *testing.T, ts *httptest.Server) *api.FleetHealth {
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	return h.Fleet
+	return h
+}
+
+func fleetHealth(t *testing.T, ts *httptest.Server) *api.FleetHealth {
+	t.Helper()
+	return getHealth(t, ts).Fleet
 }
 
 // postLease is a raw lease round-trip, used to play a scripted (or
@@ -133,6 +140,131 @@ func TestFleetHybridCoordinator(t *testing.T) {
 	}
 }
 
+// TestFleetExpiredLeaseRunsLocally: on a hybrid coordinator, units a
+// zombie runner leased and never reported go back to pending when the
+// lease expires, and the job's own local lessee runs them — the plan
+// finishes with every unit run locally and nothing merged.
+func TestFleetExpiredLeaseRunsLocally(t *testing.T) {
+	srv, ts := startServer(t, Config{Workers: 1, QueueDepth: 4, FleetLocal: 1, LeaseExpiry: 200 * time.Millisecond})
+	// Units heavy enough that the one local lessee is still busy with
+	// its first while the zombie leases the others.
+	sc := sweepScenario("expired-local", 50_000, 0.1, 0.15, 0.2, 0.25)
+	want := planBaseline(t, sc)
+	_, job := submitScenario(t, ts, sc)
+
+	leased := 0
+	waitFor(t, func() bool {
+		leased += len(postLease(t, ts, "zombie", 64, 0).Units)
+		return leased > 0
+	})
+	t.Logf("zombie leased %d of 4 units", leased)
+
+	waitForState(t, ts, job.ID, StateDone)
+	j, _ := srv.job(job.ID)
+	j.mu.Lock()
+	got := append([]byte(nil), j.result...)
+	j.mu.Unlock()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("plan document diverges from the library run:\n got %.200s\nwant %.200s", got, want)
+	}
+	if run := srv.metrics.plan.UnitsRun.Value(); run != 4 {
+		t.Fatalf("%v units ran locally, want all 4", run)
+	}
+	f := fleetHealth(t, ts)
+	if f.LeasedTotal != int64(leased) || f.Merged != 0 || f.Leased != 0 || f.PendingUnits != 0 {
+		t.Fatalf("fleet %+v, want %d grants, nothing merged, table empty", f, leased)
+	}
+	if released := srv.metrics.fleetReleases.Value(); released != uint64(leased) {
+		t.Fatalf("%d leases released by expiry, want %d", released, leased)
+	}
+}
+
+// TestFleetSingleRunDispatchOnly: a single run on a dispatch-only
+// coordinator is a 1-unit plan like any other — it completes through
+// the attached runner, keeps the single-run document and view, and
+// streams no slot progress (the run happened elsewhere).
+func TestFleetSingleRunDispatchOnly(t *testing.T) {
+	srv, ts := startServer(t, Config{Workers: 1, QueueDepth: 4, FleetLocal: -1, LeaseExpiry: 10 * time.Second})
+	runner := startRunner(t, ts, RunnerConfig{ID: "solo", Parallel: 1})
+
+	sc := lineScenario("dispatch-run", 4_000, 3)
+	c, err := sc.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, job := submitScenario(t, ts, sc)
+	view := waitForState(t, ts, job.ID, StateDone)
+	if view.Hash != sc.Hash() || view.UnitsTotal != 0 {
+		t.Fatalf("single-run view %+v, want the scenario hash and no unit counters", view)
+	}
+	j, _ := srv.job(job.ID)
+	j.mu.Lock()
+	got := append([]byte(nil), j.result...)
+	j.mu.Unlock()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("remote single run diverges:\n got %s\nwant %s", got, want)
+	}
+	var types []string
+	for _, e := range streamEvents(t, ts, job.ID) {
+		types = append(types, e.Type)
+	}
+	if strings.Join(types, ",") != "queued,started,done" {
+		t.Fatalf("event stream %v, want queued,started,done", types)
+	}
+	if runner.UnitsDone() != 1 || srv.metrics.plan.UnitsRun.Value() != 0 {
+		t.Fatalf("runner did %d units, coordinator ran %v; want 1 and 0", runner.UnitsDone(), srv.metrics.plan.UnitsRun.Value())
+	}
+	if f := fleetHealth(t, ts); f.Merged != 1 || !f.DispatchOnly {
+		t.Fatalf("fleet %+v, want 1 merged on a dispatch-only coordinator", f)
+	}
+}
+
+// TestPlainSweepNeverRunnerStarved: a server without a fleet parks its
+// sweep units in the lease table for its own local lessee, and the
+// doctor must not read that backlog as units starved of runners.
+func TestPlainSweepNeverRunnerStarved(t *testing.T) {
+	_, ts := startServer(t, Config{Workers: 1})
+	values := make([]float64, 16)
+	for i := range values {
+		values[i] = 0.1 + 0.01*float64(i)
+	}
+	sc := sweepScenario("plain-sweep", 20_000, values...)
+	sc.Sim.Parallel = 1
+	_, job := submitScenario(t, ts, sc)
+
+	sawParked := false
+	for !getJob(t, ts, job.ID).State.Terminal() {
+		h := getHealth(t, ts)
+		if h.Fleet != nil && h.Fleet.PendingUnits > 0 {
+			sawParked = true
+			if h.Fleet.DispatchOnly {
+				t.Fatalf("plain server reports dispatch-only: %+v", h.Fleet)
+			}
+		}
+		for _, f := range ctl.Diagnose(h, ctl.Metrics{}, nil, nil) {
+			if f.Name == "runner-starved" {
+				t.Fatalf("plain sweep diagnosed %s: %s", f.Name, f.Detail)
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if view := getJob(t, ts, job.ID); view.State != StateDone {
+		t.Fatalf("sweep ended %s", view.State)
+	}
+	if !sawParked {
+		t.Fatal("never observed parked units; raise the unit slot count")
+	}
+}
+
 // TestFleetLeaseLifecycle pins the exactly-once merge protocol at the
 // lease-manager level: a lease expires, the unit re-leases to another
 // runner with the lapsed one excluded, the late report against the
@@ -144,15 +276,18 @@ func TestFleetLeaseLifecycle(t *testing.T) {
 
 	type outcome struct {
 		res *dynsched.SimResult
-		ok  bool
 		err error
+	}
+	fu := &fleetUnit{pu: pu}
+	lm.park(fu)
+	if _, p, _ := lm.occupancy(); p != 1 {
+		t.Fatalf("%d units pending after park, want 1", p)
 	}
 	got := make(chan outcome, 1)
 	go func() {
-		res, ok, err := lm.offer(context.Background(), &fleetUnit{pu: pu}, nil)
-		got <- outcome{res, ok, err}
+		res, err := lm.wait(context.Background(), fu)
+		got <- outcome{res, err}
 	}()
-	waitFor(t, func() bool { _, p, _ := lm.occupancy(); return p == 1 })
 
 	grantA, _ := lm.lease(nil, "a", 8, 0)
 	if len(grantA) != 1 {
@@ -197,8 +332,8 @@ func TestFleetLeaseLifecycle(t *testing.T) {
 		t.Fatalf("valid report rejected: %v", err)
 	}
 	o := <-got
-	if !o.ok || o.err != nil || o.res == nil {
-		t.Fatalf("offer outcome %+v, want merged result", o)
+	if o.err != nil || o.res == nil {
+		t.Fatalf("wait outcome %+v, want merged result", o)
 	}
 	// A duplicate of the consumed lease is stale too.
 	if err := lm.report("b", api.UnitReport{Lease: grantB[0].leaseID, Hash: pu.Hash, Result: res}); err != errStaleLease {
@@ -221,8 +356,7 @@ func TestFleetLeaseLifecycle(t *testing.T) {
 func TestFleetLeaseEscapeHatch(t *testing.T) {
 	lm := newLeaseManager(time.Hour, 64, nil)
 	pu := dynsched.PlanUnit{Hash: "unit-esc", Scenario: lineScenario("esc", 100, 1)}
-	go lm.offer(context.Background(), &fleetUnit{pu: pu}, nil)
-	waitFor(t, func() bool { _, p, _ := lm.occupancy(); return p == 1 })
+	lm.park(&fleetUnit{pu: pu})
 
 	if g, _ := lm.lease(nil, "solo", 8, 0); len(g) != 1 {
 		t.Fatalf("initial grant %d units, want 1", len(g))

@@ -109,21 +109,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// submission, not the worker: the submitter gets the diagnostic
 	// synchronously. (Units differ only in resolved parameter values,
 	// so the first stands in for all.) The compilation rides along to
-	// the worker instead of being redone — for single runs as the job's
-	// components, for plans as unit 0's.
+	// the worker as unit 0's instead of being redone.
 	compiled, err := p.Units[0].Scenario.Compile()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
-	var j *Job
-	var cached bool
-	if p.Kind == dynsched.PlanRun {
-		j, cached, err = s.submit(sc, compiled, req.NoCache)
-	} else {
-		j, cached, err = s.submitPlan(p, compiled, req.NoCache)
-	}
+	j, cached, err := s.submitPlan(p, compiled, req.NoCache)
 	if errors.Is(err, errQueueFull) {
 		writeError(w, http.StatusServiceUnavailable, "job queue is full (%d queued); retry later", s.queueLen())
 		return
@@ -240,8 +233,9 @@ func (s *Server) health() api.Health {
 	}
 	if fh := s.fleet.snapshot(); fh.Runners > 0 || fh.LeasedTotal > 0 || fh.PendingUnits > 0 {
 		// The fleet section appears once a runner has ever joined (or
-		// units are parked awaiting one); a purely local server keeps
-		// the pre-fleet document shape.
+		// units are parked in the lease table); an idle local server
+		// keeps the pre-fleet document shape.
+		fh.DispatchOnly = s.cfg.FleetLocal < 0
 		doc.Fleet = fh
 	}
 	if s.journal != nil {

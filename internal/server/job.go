@@ -56,7 +56,7 @@ type Job struct {
 	cancelRequested bool
 	cancel          context.CancelFunc
 
-	// unitsTotal/unitsDone/unitsCached track a plan job's per-unit
+	// unitsTotal/unitsDone/unitsCached track a multi-unit plan's
 	// progress (zero for single-run jobs). unitsTotal is set before the
 	// job is visible and never changes; the other two advance under mu
 	// as units complete.
@@ -65,17 +65,15 @@ type Job struct {
 	unitsCached int
 
 	// eventsDropped counts unit completions elided from the event
-	// stream by thinning (plans beyond maxUnitEvents units), advanced
+	// stream by thinning (plans beyond maxJobEvents units), advanced
 	// under mu alongside the units counters.
 	eventsDropped int
 
 	// recovered marks a job restored from the journal after a restart;
 	// resumedFromSlot is the highest slot any of its simulations resumed
-	// from via an on-disk checkpoint. reps preserves the original
-	// submission's replication count for re-journaling.
+	// from via an on-disk checkpoint.
 	recovered       bool
 	resumedFromSlot int64
-	reps            int
 
 	// shutdownDrop marks a job hard-cancelled by a draining shutdown:
 	// its terminal state is NOT journaled, so the next boot recovers it.
@@ -87,10 +85,9 @@ type Job struct {
 	// touches it after construction; the queue send orders the accesses.
 	compiled *dynsched.CompiledScenario
 
-	// plan, when non-nil, marks a plan job (sweep, grid, replicate): the
-	// worker executes the units through the planner instead of a single
-	// simulation, consulting the result cache per unit unless noCache.
-	// Like compiled, only the one worker touches it after construction.
+	// plan is what the worker executes — a single run is a 1-unit plan
+	// — consulting the result cache per unit unless noCache. Like
+	// compiled, only the one worker touches it after construction.
 	plan    *dynsched.Plan
 	noCache bool
 }

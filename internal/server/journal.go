@@ -25,6 +25,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -205,36 +206,27 @@ func (s *Server) resubmit(rj *replayedJob) {
 	j := newJob(rj.id, rj.hash, rj.spec)
 	j.recovered = true
 	j.noCache = rj.noCache
-	j.reps = rj.reps
-	p, err := rj.spec.Plan(maxInt(rj.reps, 1))
-	if err != nil {
-		j.state = StateFailed
-		j.errMsg = fmt.Sprintf("recovering job: %v", err)
-		j.publish(Event{Type: "failed", Error: j.errMsg})
-		s.register(j)
-		s.journalFinish(j, StateFailed)
-		s.markFinished(StateFailed)
-		return
-	}
-	if p.Kind != dynsched.PlanRun {
+	p, err := rj.spec.Plan(max(rj.reps, 1))
+	if err == nil {
 		j.plan = p
-		j.unitsTotal = len(p.Units)
+		j.unitsTotal = viewUnits(p)
+		j.publish(Event{Type: "queued"})
+		select {
+		case s.queue <- j:
+			s.register(j)
+			s.recovered++
+			s.journalSubmit(j, rj.reps)
+			return
+		default:
+			err = errors.New("queue full at startup")
+		}
 	}
-	j.publish(Event{Type: "queued"})
-	select {
-	case s.queue <- j:
-	default:
-		j.state = StateFailed
-		j.errMsg = "recovering job: queue full at startup"
-		j.publish(Event{Type: "failed", Error: j.errMsg})
-		s.register(j)
-		s.journalFinish(j, StateFailed)
-		s.markFinished(StateFailed)
-		return
-	}
+	j.state = StateFailed
+	j.errMsg = fmt.Sprintf("recovering job: %v", err)
+	j.publish(Event{Type: "failed", Error: j.errMsg})
 	s.register(j)
-	s.recovered++
-	s.journalSubmit(j, rj.reps)
+	s.journalFinish(j, StateFailed)
+	s.markFinished(StateFailed)
 }
 
 // jobIDNum extracts the numeric suffix of a "job-N" ID (0 for foreign
@@ -245,13 +237,6 @@ func jobIDNum(id string) int {
 		return 0
 	}
 	return n
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ---- Checkpoint store ----

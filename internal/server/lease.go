@@ -1,17 +1,23 @@
 package server
 
-// The coordinator side of the fleet tier: a lease table distributing
-// plan units to remote runners.
+// The lease table: every fresh plan unit dynschedd executes is parked
+// here (park), and the goroutine that dispatched it blocks in wait
+// until the unit completes. Two kinds of lessee take units from the
+// one pending queue, competing under the table's lock:
 //
-// Units enter through offer — the plan executor's Delegate hook parks
-// every fresh unit here — and leave one of three ways: a runner leases
-// and reports it (the normal path), an idle local worker claims it
-// through the local-execution semaphore (hybrid coordinators), or the
-// owning plan is cancelled. Leases carry an expiry renewed by reports
-// and heartbeats; the sweeper re-queues units whose lease lapsed,
-// excluding the presumed-dead runner from the re-grant so a zombie
-// cannot keep re-acquiring work it never finishes. Merge is exactly
-// once: a lease ID is valid for one report, a unit's content hash is
+//   - a local lessee — one of the goroutines each job starts, sized by
+//     Config.FleetLocal or the scenario's Sim.Parallel — takes a
+//     pending unit of its own job and runs it in this process;
+//   - a remote runner leases a batch over HTTP and reports the results.
+//
+// A local take holds no expiring lease, so neither the sweeper nor a
+// drain ever touches it. Remote leases carry an expiry renewed by
+// reports and heartbeats; the sweeper puts units whose lease lapsed
+// back on pending — where an idle local lessee or another runner takes
+// them — excluding the presumed-dead runner from the re-grant so a
+// zombie cannot keep re-acquiring work it never finishes. A cancelled
+// plan withdraws its pending and leased units. Merge is exactly once:
+// a lease ID is valid for one report, a unit's content hash is
 // cross-checked, and late reports against expired leases are rejected
 // idempotently.
 
@@ -28,31 +34,29 @@ import (
 	"dynsched/api"
 )
 
-// Fleet unit lifecycle (fleetUnit.state, guarded by leaseManager.mu).
+// Unit lifecycle (fleetUnit.state, guarded by leaseManager.mu).
 const (
-	unitPending   = iota // parked, awaiting a lease or a local claim
+	unitPending   = iota // parked, awaiting a local lessee or a lease
+	unitLocal            // taken by a local lessee, which completes it
 	unitLeased           // out with a runner
 	unitDone             // a report was merged (or failed the unit)
-	unitWithdrawn        // claimed locally or abandoned by cancellation
+	unitWithdrawn        // abandoned by cancellation
 )
 
-// fleetUnit is one plan unit parked with the lease manager. The
-// offering goroutine blocks in offer until done closes (remote
-// completion) or it claims the unit back for local execution.
+// fleetUnit is one plan unit parked in the lease table.
 type fleetUnit struct {
 	pu      dynsched.PlanUnit
 	noCache bool
+	// owner is the job whose local lessees may take the unit; run is
+	// its local execution, bound to the unit's context.
+	owner *Job
+	run   func() (*dynsched.SimResult, error)
 
-	// done closes exactly once, when a report is merged; res/err are
+	// done closes exactly once, when the unit completes; res/err are
 	// written before the close and read only after it.
 	done chan struct{}
 	res  *dynsched.SimResult
 	err  error
-
-	// requeued pulses (buffered, non-blocking send) when an expired
-	// lease returns the unit to pending, re-arming the offerer's
-	// local-claim race.
-	requeued chan struct{}
 
 	// Guarded by leaseManager.mu.
 	state    int
@@ -101,9 +105,8 @@ type leaseManager struct {
 const (
 	defaultLeaseExpiry   = 15 * time.Second
 	defaultFleetBatchMax = 64
-	// maxFleetInflight bounds how many units one plan parks with the
-	// fleet at a time (the plan pool's virtual-worker count beyond the
-	// local semaphore).
+	// maxFleetInflight bounds how many units one plan parks beyond its
+	// local lessees at a time.
 	maxFleetInflight = 256
 	// runnerForgetAfter is how many expiry periods of silence before a
 	// runner disappears from the fleet roster. Its leases expire first
@@ -128,91 +131,107 @@ func newLeaseManager(expiry time.Duration, batchMax int, m *serverMetrics) *leas
 	}
 }
 
-// offer parks the unit for the fleet and blocks until it completes
-// remotely (ok=true with the merged result or the remote failure), is
-// claimed back for local execution (ok=false — the caller holds one
-// token from local and must run the unit itself), or ctx is cancelled
-// (ok=true with ctx's error). See plan.Options.Delegate for the token
-// protocol.
-func (lm *leaseManager) offer(ctx context.Context, fu *fleetUnit, local chan struct{}) (*dynsched.SimResult, bool, error) {
+// park queues the unit for a local lessee or a remote lease.
+func (lm *leaseManager) park(fu *fleetUnit) {
 	fu.done = make(chan struct{})
-	fu.requeued = make(chan struct{}, 1)
 	lm.mu.Lock()
 	fu.state = unitPending
 	lm.pending = append(lm.pending, fu)
 	lm.wakeLocked()
 	lm.mu.Unlock()
+}
 
+// wait blocks until the parked unit completes and returns its outcome.
+// When ctx ends first, a pending or leased unit is withdrawn and wait
+// returns ctx's error; a unit a local lessee is running shares ctx, so
+// wait lets it return its partial result.
+func (lm *leaseManager) wait(ctx context.Context, fu *fleetUnit) (*dynsched.SimResult, error) {
+	select {
+	case <-fu.done:
+	case <-ctx.Done():
+		if lm.abandon(fu) {
+			return nil, ctx.Err()
+		}
+		<-fu.done
+	}
+	return fu.res, fu.err
+}
+
+// serveLocal is one local lessee of the owner job: it takes the job's
+// pending units one at a time and runs them on this goroutine, until
+// ctx ends.
+func (lm *leaseManager) serveLocal(ctx context.Context, owner *Job) {
 	for {
-		select {
-		case <-fu.done:
-			return fu.res, true, fu.err
-		case <-ctx.Done():
-			lm.abandon(fu)
-			return nil, true, ctx.Err()
-		case <-local:
-			if lm.claimLocal(fu) {
-				return nil, false, nil
-			}
-			// The unit went out on a lease between the token becoming
-			// free and our claim: hand the token to another unit and
-			// wait — done, cancellation, or a requeue (lease expired)
-			// that re-arms the local race.
-			local <- struct{}{}
+		fu, wake := lm.takeLocal(owner)
+		if fu == nil {
 			select {
-			case <-fu.done:
-				return fu.res, true, fu.err
+			case <-wake:
+				continue
 			case <-ctx.Done():
-				lm.abandon(fu)
-				return nil, true, ctx.Err()
-			case <-fu.requeued:
+				return
 			}
 		}
+		fu.res, fu.err = fu.run()
+		close(fu.done)
 	}
 }
 
-// claimLocal withdraws a still-pending unit for local execution.
-func (lm *leaseManager) claimLocal(fu *fleetUnit) bool {
+// takeLocal withdraws the owner's first pending unit for local
+// execution. With none pending it returns the channel the next park or
+// lease release closes.
+func (lm *leaseManager) takeLocal(owner *Job) (*fleetUnit, <-chan struct{}) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	if fu.state != unitPending {
-		return false
+	for i, fu := range lm.pending {
+		if fu.owner == owner {
+			lm.removePendingAtLocked(i)
+			fu.state = unitLocal
+			return fu, nil
+		}
 	}
-	lm.removePendingLocked(fu)
-	fu.state = unitWithdrawn
-	return true
+	return nil, lm.wake
 }
 
 // abandon withdraws a unit whose plan was cancelled: pending units
 // leave the queue, leased units have their lease invalidated so the
-// eventual report is rejected.
-func (lm *leaseManager) abandon(fu *fleetUnit) {
+// eventual report is rejected. It reports false for a unit that is
+// already completing — run locally or merged — whose done will close.
+func (lm *leaseManager) abandon(fu *fleetUnit) bool {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	switch fu.state {
 	case unitPending:
-		lm.removePendingLocked(fu)
+		for i, p := range lm.pending {
+			if p == fu {
+				lm.removePendingAtLocked(i)
+				break
+			}
+		}
 	case unitLeased:
 		delete(lm.leased, fu.leaseID)
 		if r := lm.runners[fu.runner]; r != nil && r.leased > 0 {
 			r.leased--
 		}
+	default:
+		return false
 	}
 	fu.state = unitWithdrawn
+	return true
 }
 
-// removePendingLocked drops fu from the pending queue (order
-// preserved). Callers must hold mu.
-func (lm *leaseManager) removePendingLocked(fu *fleetUnit) {
-	for i, p := range lm.pending {
-		if p == fu {
-			lm.pending = append(lm.pending[:i], lm.pending[i+1:]...)
-			return
-		}
-	}
+// removePendingAtLocked drops pending[i] (order preserved), clearing
+// the vacated tail slot: the backing array must not keep a finished
+// unit — and the compiled model its run closure holds — alive.
+// Callers must hold mu.
+func (lm *leaseManager) removePendingAtLocked(i int) {
+	n := len(lm.pending) - 1
+	copy(lm.pending[i:], lm.pending[i+1:])
+	lm.pending[n] = nil
+	lm.pending = lm.pending[:n]
 }
 
-// wakeLocked signals every parked lease long-poll. Callers must hold mu.
+// wakeLocked signals every parked lease long-poll and idle local
+// lessee. Callers must hold mu.
 func (lm *leaseManager) wakeLocked() {
 	close(lm.wake)
 	lm.wake = make(chan struct{})
@@ -249,7 +268,7 @@ func (lm *leaseManager) lease(done <-chan struct{}, runner string, want int, wai
 		active := len(lm.runners)
 		var grant []*fleetUnit
 		if n := len(lm.pending); n > 0 {
-			quota := minInt(want, lm.batchMax)
+			quota := min(want, lm.batchMax)
 			if share := (n + active - 1) / active; share < quota {
 				quota = share
 			}
@@ -264,6 +283,7 @@ func (lm *leaseManager) lease(done <-chan struct{}, runner string, want int, wai
 				}
 				kept = append(kept, fu)
 			}
+			clear(lm.pending[len(kept):]) // granted units must not linger in the backing array
 			lm.pending = kept
 			r := lm.runners[runner]
 			for _, fu := range grant {
@@ -290,7 +310,7 @@ func (lm *leaseManager) lease(done <-chan struct{}, runner string, want int, wai
 		if remain := time.Until(deadline); remain <= 0 {
 			return nil, active
 		} else {
-			timer := time.NewTimer(minDuration(remain, lm.expiry))
+			timer := time.NewTimer(min(remain, lm.expiry))
 			select {
 			case <-wake:
 			case <-timer.C:
@@ -385,7 +405,7 @@ func (lm *leaseManager) sweep(now time.Time) int {
 // releaseAll returns every leased unit to the pending queue without
 // excluding its holder — the draining coordinator's path: reports can
 // no longer be relied on, so outstanding units must become grantable
-// (to surviving runners) or locally claimable again instead of
+// (to surviving runners) or locally runnable again instead of
 // dangling on dead leases past the drain grace.
 func (lm *leaseManager) releaseAll() int {
 	lm.mu.Lock()
@@ -416,10 +436,6 @@ func (lm *leaseManager) releaseLocked(expired func(*fleetUnit) bool, exclude boo
 		}
 		fu.state = unitPending
 		lm.pending = append(lm.pending, fu)
-		select {
-		case fu.requeued <- struct{}{}:
-		default:
-		}
 		released++
 	}
 	if released > 0 {
@@ -464,18 +480,4 @@ func (lm *leaseManager) occupancy() (runners, pending, leased int) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	return len(lm.runners), len(lm.pending), len(lm.leased)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func minDuration(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -131,7 +131,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		n, _, _ := s.fleet.occupancy()
 		return float64(n)
 	})
-	r.GaugeFunc("dynsched_fleet_pending_units", "Plan units parked awaiting a lease or a local slot.", func() float64 {
+	r.GaugeFunc("dynsched_fleet_pending_units", "Plan units parked awaiting a lease or a local lessee.", func() float64 {
 		_, n, _ := s.fleet.occupancy()
 		return float64(n)
 	})

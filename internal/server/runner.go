@@ -58,12 +58,6 @@ type RunnerConfig struct {
 	// LeaseWait is the lease long-poll duration when the coordinator
 	// has nothing pending (0 = 5s).
 	LeaseWait time.Duration
-	// ServiceFloor, when positive, is a per-unit minimum service time:
-	// a freshly-executed unit that finishes faster is held until the
-	// floor elapses. It models a fixed per-unit machine capacity when
-	// many runners share one host (benchmarks, capacity rehearsals);
-	// production runners leave it zero.
-	ServiceFloor time.Duration
 	// Registry, when set, receives the runner's instruments (the
 	// plan-unit counters and duration histogram feeding the batch
 	// controller, plus lease/report wire counters).
@@ -85,6 +79,11 @@ type Runner struct {
 	expiryMs atomic.Int64
 	// rttNs is the EWMA lease round-trip time.
 	rttNs atomic.Int64
+
+	// serviceFloor, when positive, holds a freshly-executed unit that
+	// finishes faster until the floor elapses: a fixed per-unit
+	// capacity for benchmarks that run many runners on one host.
+	serviceFloor time.Duration
 }
 
 // NewRunner builds a runner for the coordinator at cfg.Coordinator.
@@ -246,13 +245,13 @@ func (r *Runner) leaseOnce(ctx context.Context) ([]api.LeasedUnit, error) {
 
 // execute runs one leased unit: consult the fleet unit cache first
 // (unless the plan forbids it), then compile and simulate, holding the
-// result to the configured service floor.
+// result to the service floor.
 func (r *Runner) execute(ctx context.Context, u api.LeasedUnit) api.UnitReport {
 	rep := api.UnitReport{Lease: u.Lease, Hash: u.Hash}
 	if !u.NoCache {
 		if data, ok := r.fetchCached(ctx, u.Hash); ok {
 			rep.Result = data
-			r.pm.UnitsCached.Inc()
+			r.pm.ObserveCached()
 			r.unitsDone.Add(1)
 			return rep
 		}
@@ -260,24 +259,20 @@ func (r *Runner) execute(ctx context.Context, u api.LeasedUnit) api.UnitReport {
 	started := time.Now()
 	res, err := r.runUnit(ctx, u)
 	elapsed := time.Since(started)
-	if err == nil && r.cfg.ServiceFloor > elapsed {
-		sleepCtx(ctx, r.cfg.ServiceFloor-elapsed)
+	if err == nil && r.serviceFloor > elapsed {
+		sleepCtx(ctx, r.serviceFloor-elapsed)
 		elapsed = time.Since(started)
 	}
+	if err == nil {
+		if rep.Result, err = json.Marshal(res); err != nil {
+			err = fmt.Errorf("marshaling result: %v", err)
+		}
+	}
+	r.pm.ObserveRun(elapsed, err)
 	if err != nil {
 		rep.Error = err.Error()
-		r.pm.UnitsFailed.Inc()
 		return rep
 	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		rep.Error = fmt.Sprintf("marshaling result: %v", err)
-		r.pm.UnitsFailed.Inc()
-		return rep
-	}
-	rep.Result = data
-	r.pm.UnitsRun.Inc()
-	r.pm.UnitSeconds.Observe(elapsed.Seconds())
 	r.unitsDone.Add(1)
 	return rep
 }
@@ -325,7 +320,7 @@ func (r *Runner) fetchCached(ctx context.Context, hash string) (json.RawMessage,
 // expired anyway; the final partial batch flushes on channel close.
 func (r *Runner) reportLoop(ctx context.Context, repCh <-chan api.UnitReport, done chan<- struct{}) {
 	defer close(done)
-	bound := maxInt(1, r.cfg.BatchMax/2)
+	bound := max(1, r.cfg.BatchMax/2)
 	for {
 		var batch []api.UnitReport
 		select {

@@ -5,25 +5,34 @@
 // the canonical spec hash so identical submissions are served from
 // memory (or a disk spill directory) without re-simulating.
 //
+// Every job is an execution plan (dynsched.Plan): a single run is a
+// 1-unit plan. Each fresh unit is parked in one lease table
+// (lease.go), which the job's own local lessees and any attached
+// remote runners (runner.go, `dynschedd -join`) take units from, so
+// local and fleet execution are one path.
+//
 // The API surface (all under /v1):
 //
 //	POST   /v1/jobs              submit a spec ({"scenario": {...}}) or a
 //	                             registered name ({"name": "..."}); 202 on
 //	                             enqueue, 200 on a cache hit, 503 when the
 //	                             queue is full. A sweep/grid spec or
-//	                             "reps" > 1 submits an execution plan:
-//	                             the job decomposes into per-unit
-//	                             simulations, each consulting the result
-//	                             cache by its own content address, with
-//	                             "unit" completion events and
+//	                             "reps" > 1 submits a multi-unit plan:
+//	                             each unit consults the result cache by
+//	                             its own content address, with "unit"
+//	                             completion events and
 //	                             unitsTotal/unitsDone/unitsCached
-//	                             counters in the job view
+//	                             counters in the job view; a single run
+//	                             streams slot "progress" events instead
 //	GET    /v1/jobs              list jobs
 //	GET    /v1/jobs/{id}         job state, including the result when done
 //	GET    /v1/jobs/{id}/events  NDJSON progress stream until terminal
 //	DELETE /v1/jobs/{id}         cancel a queued or running job
 //	GET    /v1/scenarios         the registered scenario library
 //	GET    /healthz              liveness and queue occupancy
+//
+// plus the fleet protocol (fleet.go): POST /v1/fleet/lease, /report
+// and /heartbeat, and GET /v1/units/{hash}.
 package server
 
 import (
@@ -57,9 +66,9 @@ type Config struct {
 	// CacheDiskMax bounds the spill directory to this many entries,
 	// evicting oldest-mtime files first (0 = unbounded).
 	CacheDiskMax int
-	// ProgressEvery is the progress-event period in slots (0 = one
-	// twentieth of each job's run length). An explicit period is floored
-	// so no job emits more than maxProgressEvents progress events.
+	// ProgressEvery is a single run's progress-event period in slots
+	// (0 = one twentieth of its run length). An explicit period is
+	// floored so no job emits more than maxJobEvents progress events.
 	ProgressEvery int64
 	// MaxJobs bounds the job registry (0 = 4096); terminal jobs beyond
 	// it are forgotten oldest-first. Results stay in the cache.
@@ -89,12 +98,13 @@ type Config struct {
 	LeaseExpiry time.Duration
 	// FleetBatchMax caps one lease grant (0 = 64 units).
 	FleetBatchMax int
-	// FleetLocal sizes the coordinator's own execution share of plan
-	// units: 0 keeps the planner's resolved pool (the scenario's
-	// Sim.Parallel, GOMAXPROCS by default), a positive value pins the
-	// local slot count, and a negative value makes the coordinator
-	// dispatch-only — every plan unit must complete through a runner,
-	// so a fleet must be attached.
+	// FleetLocal sizes each job's local lessees — the goroutines that
+	// take the job's units from the lease table and run them in this
+	// process: 0 uses the scenario's Sim.Parallel (GOMAXPROCS by
+	// default), a positive value pins the count, and a negative value
+	// makes the coordinator dispatch-only — every unit, single runs
+	// included, must complete through a runner, so a fleet must be
+	// attached.
 	FleetLocal int
 }
 
@@ -260,7 +270,7 @@ func (s *Server) Drain(grace time.Duration) DrainReport {
 	// Release every unit currently leased to a runner: reports can no
 	// longer be waited on across the grace window, so leased units go
 	// back to pending where a surviving runner re-leases them (or an
-	// idle local slot claims them) — instead of dangling on a dead
+	// idle local lessee takes them) — instead of dangling on a dead
 	// runner's lease until its expiry and forcing the drain to drop
 	// the owning plan job. Late reports against the released leases
 	// are rejected idempotently.
@@ -321,9 +331,8 @@ drainQueue:
 }
 
 // runJob executes one queued job end to end: transition to running,
-// then either a single simulation with a progress observer or a full
-// execution plan with per-unit cache consultation, publishing into the
-// job's event stream; finally cache and publish the result document.
+// execute its plan, publishing into the job's event stream; finally
+// cache and publish the result document.
 func (s *Server) runJob(ctx context.Context, j *Job) {
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -347,19 +356,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		s.mu.Unlock()
 	}()
 
-	var data []byte
-	var err error
-	isPlan := j.plan != nil
-	if isPlan {
-		data, err = s.runPlan(jctx, j)
-	} else {
-		var res *dynsched.SimResult
-		if res, err = s.simulate(jctx, j); err == nil {
-			if data, err = json.Marshal(res); err != nil {
-				err = fmt.Errorf("marshaling result: %v", err)
-			}
-		}
-	}
+	data, err := s.runPlan(jctx, j)
 	if err != nil {
 		j.mu.Lock()
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -385,9 +382,6 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		return
 	}
 	s.cache.Put(j.Hash, data)
-	if s.journal != nil && !isPlan {
-		s.dropCheckpoint(j.Hash)
-	}
 
 	j.mu.Lock()
 	j.state = StateDone
@@ -398,34 +392,38 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	s.markFinished(StateDone)
 }
 
-// maxUnitEvents bounds one plan job's share of the event log, exactly
-// like maxProgressEvents bounds a single run's: plans beyond the cap
-// publish a thinned unit stream (every ⌈total/cap⌉-th completion plus
-// the final one), so a maximal grid cannot grow the retained log —
-// or every later /events replay — to tens of thousands of entries.
-// The job-view counters still advance for every unit.
-const maxUnitEvents = 512
+// maxJobEvents bounds one job's share of the event log, so a
+// billion-slot run or a maximal grid cannot grow its retained log — or
+// every later /events replay — without bound. A single run floors its
+// progress period so it emits at most this many progress events; a
+// larger plan publishes a thinned unit stream (every ⌈total/cap⌉-th
+// completion plus the final one) while the job-view counters still
+// advance for every unit.
+const maxJobEvents = 512
 
-// runPlan executes a plan job: every unit goes through the
-// content-addressed cache (lookup before running, store after, unless
-// the submission asked for noCache), completions stream into the
-// job's event log as "unit" events with monotonic counters, and the
-// assembled PlanResult document is returned for the plan-level cache
-// entry. Unit workers run on the planner's pool, sized by the
-// scenario's Sim.Parallel (0 = GOMAXPROCS). Plan jobs report progress
-// at unit granularity only — the slot-level progress observer (and
-// -progress-every) applies to single-run jobs, where there is exactly
-// one simulation to watch.
+// runPlan executes a job's plan and returns its result document. Every
+// fresh unit result is stored in the content-addressed cache, and the
+// units of a multi-unit plan are looked up there before running
+// (unless the submission asked for noCache). Every unit still to run is
+// parked in the lease table, where this job's local lessees and the
+// remote runners compete for it. A single run (kind run: one unit)
+// streams slot-level progress events while it runs here, and its
+// document is the bare SimResult; every other plan streams "unit"
+// completion events with monotonic counters, and its document is the
+// assembled PlanResult.
 func (s *Server) runPlan(ctx context.Context, j *Job) ([]byte, error) {
-	p := j.plan
-	j.plan = nil // single-run payloads; don't retain them past the run
-	compiled := j.compiled
-	j.compiled = nil
-	stride := (len(p.Units) + maxUnitEvents - 1) / maxUnitEvents
+	p, compiled := j.plan, j.compiled
+	j.plan, j.compiled = nil, nil // used once; don't retain them past the run
+	single := p.Kind == dynsched.PlanRun
+	var doc []byte // a single run's document, set by Store
 	opts := dynsched.ExecOptions{
 		Metrics: s.metrics.plan,
 		Observers: func(u dynsched.PlanUnit) []dynsched.SimObserver {
-			return []dynsched.SimObserver{s.metrics.sim.NewObserver(0)}
+			engine := s.metrics.sim.NewObserver(0)
+			if single {
+				return []dynsched.SimObserver{s.progressObserver(j, u.Scenario.Sim.Slots), engine}
+			}
+			return []dynsched.SimObserver{engine}
 		},
 		Compiled: func(u dynsched.PlanUnit) *dynsched.CompiledScenario {
 			if u.Index == 0 {
@@ -434,41 +432,30 @@ func (s *Server) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 			return nil
 		},
 		Store: func(u dynsched.PlanUnit, res *dynsched.SimResult) {
-			if data, err := json.Marshal(res); err == nil {
-				s.cache.Put(u.Hash, data)
-				if s.journal != nil {
-					s.journalUnit(j, u.Index, u.Hash)
-					s.dropCheckpoint(u.Hash)
-				}
-			}
-		},
-		OnUnit: func(u dynsched.PlanUnit, cached bool, err error, prog dynsched.PlanProgress) {
+			data, err := json.Marshal(res)
 			if err != nil {
-				// The terminal failed/cancelled event carries the outcome;
-				// per-unit errors are not separate stream entries.
 				return
 			}
-			j.mu.Lock()
-			j.unitsDone, j.unitsCached = prog.Done, prog.Cached
-			if prog.Done%stride != 0 && prog.Done != prog.Total {
-				// Thinned out of the stream; the view's counter lets
-				// clients report how many completions were elided.
-				j.eventsDropped++
-			} else {
-				j.publishLocked(Event{Type: "unit", Unit: &UnitEvent{
-					Index:       u.Index,
-					Hash:        u.Hash,
-					Coords:      u.Coords,
-					Cached:      cached,
-					UnitsDone:   prog.Done,
-					UnitsCached: prog.Cached,
-					UnitsTotal:  prog.Total,
-				}})
+			s.cache.Put(u.Hash, data)
+			if single {
+				doc = data // the job's document too: one copy, shared with the cache
 			}
-			j.mu.Unlock()
+			if s.journal != nil {
+				s.journalUnit(j, u.Index, u.Hash)
+				s.dropCheckpoint(u.Hash)
+			}
+		},
+		Dispatch: func(uctx context.Context, u dynsched.PlanUnit, run func(context.Context) (*dynsched.SimResult, error)) (*dynsched.SimResult, error) {
+			fu := &fleetUnit{pu: u, noCache: j.noCache, owner: j,
+				run: func() (*dynsched.SimResult, error) { return run(uctx) }}
+			s.fleet.park(fu)
+			return s.fleet.wait(uctx, fu)
 		},
 	}
-	if !j.noCache {
+	if !single {
+		opts.OnUnit = unitEvents(j, len(p.Units))
+	}
+	if !j.noCache && !single { // a single run's unit is the job itself, looked up at submit
 		opts.Lookup = func(u dynsched.PlanUnit) (*dynsched.SimResult, bool) {
 			data, ok := s.cache.Get(u.Hash)
 			if !ok {
@@ -481,30 +468,6 @@ func (s *Server) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 			return &res, true
 		}
 	}
-	// Fleet tier: park every fresh unit with the lease manager so
-	// attached runners can lease it, while the local-execution
-	// semaphore keeps this coordinator's own share of the work. The
-	// pool is sized local + virtual so up to maxFleetInflight units can
-	// be out with the fleet beyond what runs here; with no runners
-	// attached every unit falls straight through to a local slot.
-	localN := p.Source.Sim.Parallel
-	if localN <= 0 {
-		localN = runtime.GOMAXPROCS(0)
-	}
-	switch {
-	case s.cfg.FleetLocal > 0:
-		localN = s.cfg.FleetLocal
-	case s.cfg.FleetLocal < 0:
-		localN = 0
-	}
-	opts.Parallel = localN + minInt(len(p.Units), maxFleetInflight)
-	if opts.LocalParallel = localN; localN == 0 {
-		opts.LocalParallel = -1 // dispatch-only
-	}
-	noCache := j.noCache
-	opts.Delegate = func(dctx context.Context, u dynsched.PlanUnit, local chan struct{}) (*dynsched.SimResult, bool, error) {
-		return s.fleet.offer(dctx, &fleetUnit{pu: u, noCache: noCache}, local)
-	}
 	if s.journal != nil && s.cfg.CheckpointEvery > 0 {
 		opts.CheckpointEvery = s.cfg.CheckpointEvery
 		opts.SaveCheckpoint = func(u dynsched.PlanUnit, cp *sim.Checkpoint) error {
@@ -514,46 +477,62 @@ func (s *Server) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 			cp := s.loadCheckpoint(u.Hash)
 			if cp != nil {
 				j.mu.Lock()
-				if cp.Slot > j.resumedFromSlot {
-					j.resumedFromSlot = cp.Slot
-				}
+				j.resumedFromSlot = max(j.resumedFromSlot, cp.Slot)
 				j.mu.Unlock()
 			}
 			return cp
 		}
 	}
-	pr, err := p.Execute(ctx, opts)
-	if err != nil {
-		return nil, err
+
+	// The job's local lessees: localN goroutines taking its pending
+	// units from the lease table and running them here. The pool parks
+	// up to maxFleetInflight units beyond them, so attached runners
+	// always find work; with none attached, every unit runs locally.
+	localN := p.Source.Sim.Parallel
+	if localN <= 0 {
+		localN = runtime.GOMAXPROCS(0)
 	}
-	return json.Marshal(pr)
+	switch {
+	case s.cfg.FleetLocal > 0:
+		localN = s.cfg.FleetLocal
+	case s.cfg.FleetLocal < 0:
+		localN = 0 // dispatch-only: every unit completes through a runner
+	}
+	opts.Parallel = localN + maxFleetInflight
+	lctx, stop := context.WithCancel(ctx)
+	var lessees sync.WaitGroup
+	for i := 0; i < min(localN, len(p.Units)); i++ {
+		lessees.Add(1)
+		go func() {
+			defer lessees.Done()
+			s.fleet.serveLocal(lctx, j)
+		}()
+	}
+	pr, err := p.Execute(ctx, opts)
+	stop()
+	lessees.Wait()
+	switch {
+	case err != nil:
+		return nil, err
+	case !single:
+		return json.Marshal(pr)
+	case doc != nil:
+		return doc, nil
+	}
+	return json.Marshal(pr.Run) // Store could not marshal it: report why
 }
 
-// maxProgressEvents bounds one job's share of the event log: however
-// small the configured period, a job emits at most this many progress
-// events, so a billion-slot submission cannot grow its retained event
-// log (and every later /events replay) without bound.
-const maxProgressEvents = 512
-
-// simulate runs the job's scenario — reusing the submit-time
-// compilation when present — with a progress observer that publishes
-// into the job's event stream.
-func (s *Server) simulate(ctx context.Context, j *Job) (*dynsched.SimResult, error) {
-	c := j.compiled
-	j.compiled = nil // the components are single-run; don't retain them
-	if c == nil {
-		var err error
-		if c, err = j.Scenario.Compile(); err != nil {
-			return nil, err
-		}
-	}
+// progressObserver publishes a single run's slot progress into the
+// job's event stream, every ProgressEvery slots (0 = a twentieth of the
+// run) floored so the run emits at most maxJobEvents of them.
+func (s *Server) progressObserver(j *Job, slots int64) dynsched.SimObserver {
 	every := s.cfg.ProgressEvery
 	// Ceil division: a floor-divided period would admit up to 2x-1 the
 	// intended event count for slot counts just above the cap.
-	if floor := (j.Scenario.Sim.Slots + maxProgressEvents - 1) / maxProgressEvents; every > 0 && every < floor {
+	if floor := (slots + maxJobEvents - 1) / maxJobEvents; every > 0 && every < floor {
 		every = floor
 	}
-	progress := sim.NewProgressObserver(j.Scenario.Sim.Slots, every, func(p sim.Progress) {
+	return sim.NewProgressObserver(slots, every, func(p sim.Progress) {
 		if p.Done {
 			// The terminal done/cancelled/failed event carries the
 			// outcome; a trailing progress snapshot would race it.
@@ -562,82 +541,73 @@ func (s *Server) simulate(ctx context.Context, j *Job) (*dynsched.SimResult, err
 		snap := p
 		j.publish(Event{Type: "progress", Progress: &snap})
 	})
-	c.Observers = append(c.Observers, progress, s.metrics.sim.NewObserver(0))
-	if s.journal != nil && s.cfg.CheckpointEvery > 0 &&
-		sim.SupportsCheckpoint(c.Model, c.Process, c.Protocol) {
-		spec := &sim.CheckpointSpec{
-			Every: s.cfg.CheckpointEvery,
-			Sink:  func(cp *sim.Checkpoint) error { return s.saveCheckpoint(j.Hash, cp) },
-		}
-		if cp := s.loadCheckpoint(j.Hash); cp != nil {
-			spec.Resume = cp
-			j.mu.Lock()
-			j.resumedFromSlot = cp.Slot
-			j.mu.Unlock()
-		}
-		c.Config.Checkpoint = spec
-	}
-	return c.Run(ctx)
 }
 
-// submit registers and enqueues a job for the scenario, serving it
-// from the result cache instead when a bit-identical spec has already
-// run (unless noCache). compiled, when non-nil, is handed to the
-// worker so the spec is not compiled twice. It returns the job and
-// whether it was served from cache; errQueueFull when the queue is at
-// capacity.
-func (s *Server) submit(sc dynsched.Scenario, compiled *dynsched.CompiledScenario, noCache bool) (*Job, bool, error) {
-	hash := sc.Hash()
-	if !noCache {
-		if data, ok := s.cache.Get(hash); ok {
-			j := newJob(s.allocID(), hash, sc)
-			j.state = StateDone
-			j.cached = true
-			j.result = data
-			j.publish(Event{Type: "done", Cached: true})
-			s.register(j)
-			s.metrics.jobsSubmitted.With(string(dynsched.PlanRun)).Inc()
-			s.markFinished(StateDone)
-			return j, true, nil
+// unitEvents streams a plan's unit completions into the job: the view
+// counters advance for every unit, and the event log keeps a thinned
+// "unit" stream of at most maxJobEvents entries.
+func unitEvents(j *Job, total int) func(dynsched.PlanUnit, bool, error, dynsched.PlanProgress) {
+	stride := (total + maxJobEvents - 1) / maxJobEvents
+	return func(u dynsched.PlanUnit, cached bool, err error, prog dynsched.PlanProgress) {
+		if err != nil {
+			// The terminal failed/cancelled event carries the outcome;
+			// per-unit errors are not separate stream entries.
+			return
 		}
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		j.unitsDone, j.unitsCached = prog.Done, prog.Cached
+		if prog.Done%stride != 0 && prog.Done != prog.Total {
+			// Thinned out of the stream; the view's counter lets
+			// clients report how many completions were elided.
+			j.eventsDropped++
+			return
+		}
+		j.publishLocked(Event{Type: "unit", Unit: &UnitEvent{
+			Index:       u.Index,
+			Hash:        u.Hash,
+			Coords:      u.Coords,
+			Cached:      cached,
+			UnitsDone:   prog.Done,
+			UnitsCached: prog.Cached,
+			UnitsTotal:  prog.Total,
+		}})
 	}
-	if s.isDraining() {
-		return nil, false, errQueueFull
-	}
-	j := newJob(s.allocID(), hash, sc)
-	j.compiled = compiled
-	j.noCache = noCache
-	j.reps = 1
-	j.publish(Event{Type: "queued"})
-	select {
-	case s.queue <- j:
-	default:
-		return nil, false, errQueueFull
-	}
-	s.register(j)
-	s.journalSubmit(j, 1)
-	s.metrics.jobsSubmitted.With(string(dynsched.PlanRun)).Inc()
-	return j, false, nil
 }
 
-// submitPlan registers and enqueues a plan job (sweep, grid or
-// replicate), serving the assembled document from the plan-level cache
-// when the identical plan already ran (unless noCache — then every
-// unit simulates afresh too). Per-unit cache consultation happens in
-// the worker; a plan-level miss with full per-unit hits still runs
-// zero simulations. compiled, when non-nil, is unit 0's submit-time
-// compilation, handed to the worker so it is not redone.
+// viewUnits is the unit count a job view reports for the plan: a
+// single run's view carries no unit counters.
+func viewUnits(p *dynsched.Plan) int {
+	if p.Kind == dynsched.PlanRun {
+		return 0
+	}
+	return len(p.Units)
+}
+
+// submitPlan registers and enqueues a job for the plan, serving the
+// document from the result cache when the identical job already ran
+// (unless noCache — then every unit simulates afresh too). Per-unit
+// cache consultation happens in the worker; a plan-level miss with
+// full per-unit hits still runs zero simulations. compiled, when
+// non-nil, is unit 0's submit-time compilation, handed to the worker
+// so it is not redone. It returns the job and whether it was served
+// from cache; errQueueFull when the queue is at capacity.
 func (s *Server) submitPlan(p *dynsched.Plan, compiled *dynsched.CompiledScenario, noCache bool) (*Job, bool, error) {
+	// A single run's document is the bare SimResult, cached under its
+	// scenario hash; every other plan's is the PlanResult, cached under
+	// the plan hash.
 	hash := p.Hash()
+	if p.Kind == dynsched.PlanRun {
+		hash = p.Source.Hash()
+	}
+	n := viewUnits(p)
 	if !noCache {
 		if data, ok := s.cache.Get(hash); ok {
 			j := newJob(s.allocID(), hash, p.Source)
 			j.state = StateDone
 			j.cached = true
 			j.result = data
-			j.unitsTotal = len(p.Units)
-			j.unitsDone = len(p.Units)
-			j.unitsCached = len(p.Units)
+			j.unitsTotal, j.unitsDone, j.unitsCached = n, n, n
 			j.publish(Event{Type: "done", Cached: true})
 			s.register(j)
 			s.metrics.jobsSubmitted.With(string(p.Kind)).Inc()
@@ -652,8 +622,7 @@ func (s *Server) submitPlan(p *dynsched.Plan, compiled *dynsched.CompiledScenari
 	j.plan = p
 	j.compiled = compiled
 	j.noCache = noCache
-	j.reps = p.Reps
-	j.unitsTotal = len(p.Units)
+	j.unitsTotal = n
 	j.publish(Event{Type: "queued"})
 	select {
 	case s.queue <- j:

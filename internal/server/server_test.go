@@ -21,6 +21,13 @@ import (
 	"dynsched/internal/sim"
 )
 
+// The event-cap tests name the one job event cap by the stream it
+// bounds: a single run's progress events, a plan's unit events.
+const (
+	maxProgressEvents = maxJobEvents
+	maxUnitEvents     = maxJobEvents
+)
+
 // startServer boots a server with its worker pool and an HTTP listener
 // on a random port, both torn down with the test.
 func startServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"time"
 
 	"dynsched/internal/plan"
 	"dynsched/internal/sim"
@@ -327,19 +328,20 @@ type ExecOptions struct {
 	// goroutine. dynschedd attaches its engine-metrics tracing observer
 	// here.
 	Observers func(u PlanUnit) []SimObserver
-	// Metrics, when set, counts every unit's outcome (run/cached/failed)
-	// and records fresh-run wall time (see plan.Metrics).
+	// Metrics, when set, counts cache hits and every unit run here
+	// (run/failed, with its wall time); units whose result Dispatch
+	// obtains without calling run are not counted (see plan.Metrics).
 	Metrics *PlanMetrics
-	// Delegate, when set, may execute a unit on a remote runner instead
-	// of the local pool (dynschedd's fleet tier). See plan.Options for
-	// the token protocol; a successfully delegated unit's result flows
-	// through Store exactly like a local fresh run, so caching and
-	// journaling hold fleet-wide.
-	Delegate func(ctx context.Context, u PlanUnit, local chan struct{}) (*SimResult, bool, error)
-	// LocalParallel sizes the local-execution semaphore when Delegate is
-	// set: 0 = Parallel's resolved value, negative = dispatch-only (no
-	// local execution).
-	LocalParallel int
+	// Dispatch, when set, decides where each freshly-run unit executes.
+	// It is called from the unit's pool worker with the unit's context
+	// and run, the unit's local execution (compile, observe, checkpoint,
+	// simulate), and returns the unit's outcome: either by calling run
+	// itself, on any goroutine, or by obtaining the result elsewhere.
+	// dynschedd's server parks every unit in its lease table here, where
+	// its own local lessees call run and remote runners lease the unit
+	// instead. Whichever executes it, a successful result flows through
+	// Store exactly once, so caching and journaling hold fleet-wide.
+	Dispatch func(ctx context.Context, u PlanUnit, run func(context.Context) (*SimResult, error)) (*SimResult, error)
 	// CheckpointEvery, when positive, checkpoints each running unit
 	// every so many slots (at the protocol's next frame boundary),
 	// handing the snapshots to SaveCheckpoint. Units whose components
@@ -379,63 +381,43 @@ func (p *Plan) Execute(ctx context.Context, opts ExecOptions) (*PlanResult, erro
 	for i, pu := range p.Units {
 		units[i] = plan.Unit{Index: i, Key: pu.Hash, Label: pu.Label()}
 	}
-	popts := plan.Options[*SimResult]{Parallel: opts.Parallel, Metrics: opts.Metrics}
+	popts := plan.Options[*SimResult]{Parallel: opts.Parallel}
 	if popts.Parallel == 0 {
 		popts.Parallel = p.Source.Sim.Parallel
 	}
 	if opts.Lookup != nil {
-		popts.Lookup = func(u plan.Unit) (*SimResult, bool) { return opts.Lookup(p.Units[u.Index]) }
+		popts.Lookup = func(u plan.Unit) (*SimResult, bool) {
+			res, ok := opts.Lookup(p.Units[u.Index])
+			if ok {
+				opts.Metrics.ObserveCached()
+			}
+			return res, ok
+		}
 	}
 	if opts.OnUnit != nil {
 		popts.OnUnit = func(u plan.Unit, _ *SimResult, cached bool, err error, pr plan.Progress) {
 			opts.OnUnit(p.Units[u.Index], cached, err, PlanProgress{Done: pr.Done, Cached: pr.Cached, Total: pr.Total})
 		}
 	}
-	if opts.Delegate != nil {
-		popts.LocalParallel = opts.LocalParallel
-		popts.Delegate = func(dctx context.Context, u plan.Unit, local chan struct{}) (*SimResult, bool, error) {
-			pu := p.Units[u.Index]
-			res, ok, err := opts.Delegate(dctx, pu, local)
-			if ok && err == nil && opts.Store != nil {
-				opts.Store(pu, res)
-			}
-			return res, ok, err
-		}
-	}
 	out, err := plan.Execute(ctx, units, popts, func(uctx context.Context, u plan.Unit) (*SimResult, error) {
 		pu := p.Units[u.Index]
-		var c *CompiledScenario
-		if opts.Compiled != nil {
-			c = opts.Compiled(pu)
+		run := func(rctx context.Context) (*SimResult, error) {
+			started := time.Now()
+			res, err := opts.runUnit(rctx, pu)
+			opts.Metrics.ObserveRun(time.Since(started), err)
+			return res, err
 		}
-		if c == nil {
-			var cerr error
-			if c, cerr = pu.Scenario.Compile(); cerr != nil {
-				return nil, cerr
-			}
+		var res *SimResult
+		var err error
+		if opts.Dispatch != nil {
+			res, err = opts.Dispatch(uctx, pu, run)
+		} else {
+			res, err = run(uctx)
 		}
-		if opts.Observers != nil {
-			c.Observers = append(c.Observers, opts.Observers(pu)...)
-		}
-		if (opts.CheckpointEvery > 0 || opts.LoadCheckpoint != nil) &&
-			sim.SupportsCheckpoint(c.Model, c.Process, c.Protocol) {
-			spec := &sim.CheckpointSpec{}
-			if opts.CheckpointEvery > 0 && opts.SaveCheckpoint != nil {
-				spec.Every = opts.CheckpointEvery
-				spec.Sink = func(cp *sim.Checkpoint) error { return opts.SaveCheckpoint(pu, cp) }
-			}
-			if opts.LoadCheckpoint != nil {
-				spec.Resume = opts.LoadCheckpoint(pu)
-			}
-			if spec.Every > 0 || spec.Resume != nil {
-				c.Config.Checkpoint = spec
-			}
-		}
-		res, rerr := c.Run(uctx)
-		if rerr == nil && opts.Store != nil {
+		if err == nil && opts.Store != nil {
 			opts.Store(pu, res)
 		}
-		return res, rerr
+		return res, err
 	})
 
 	result := p.aggregate(out)
@@ -452,6 +434,40 @@ func (p *Plan) Execute(ctx context.Context, opts ExecOptions) (*PlanResult, erro
 		return result, err
 	}
 	return result, nil
+}
+
+// runUnit executes one unit on the calling goroutine: the supplied or
+// fresh compilation, the extra observers, and checkpoint save/resume
+// when the unit's components support it.
+func (opts *ExecOptions) runUnit(ctx context.Context, pu PlanUnit) (*SimResult, error) {
+	var c *CompiledScenario
+	if opts.Compiled != nil {
+		c = opts.Compiled(pu)
+	}
+	if c == nil {
+		var err error
+		if c, err = pu.Scenario.Compile(); err != nil {
+			return nil, err
+		}
+	}
+	if opts.Observers != nil {
+		c.Observers = append(c.Observers, opts.Observers(pu)...)
+	}
+	if (opts.CheckpointEvery > 0 || opts.LoadCheckpoint != nil) &&
+		sim.SupportsCheckpoint(c.Model, c.Process, c.Protocol) {
+		spec := &sim.CheckpointSpec{}
+		if opts.CheckpointEvery > 0 && opts.SaveCheckpoint != nil {
+			spec.Every = opts.CheckpointEvery
+			spec.Sink = func(cp *sim.Checkpoint) error { return opts.SaveCheckpoint(pu, cp) }
+		}
+		if opts.LoadCheckpoint != nil {
+			spec.Resume = opts.LoadCheckpoint(pu)
+		}
+		if spec.Every > 0 || spec.Resume != nil {
+			c.Config.Checkpoint = spec
+		}
+	}
+	return c.Run(ctx)
 }
 
 // aggregate assembles the PlanResult document from an outcome.

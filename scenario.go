@@ -127,9 +127,12 @@ type SimSpec struct {
 	Seed        int64   `json:"seed"`
 	WarmupFrac  float64 `json:"warmupFrac,omitempty"`
 	SampleEvery int64   `json:"sampleEvery,omitempty"`
-	// Parallel caps Replicate's worker pool (0 = GOMAXPROCS). It is an
-	// execution knob, not part of the experiment: results are
-	// bit-identical for every value, and it is excluded from Hash.
+	// Parallel caps the plan worker pool of Replicate, sweeps and grids
+	// (0 = GOMAXPROCS); in dynschedd it sizes each job's local lessees,
+	// the goroutines that run the job's units in the daemon's process
+	// (unless -fleet-local overrides it). It is an execution knob, not
+	// part of the experiment: results are bit-identical for every
+	// value, and it is excluded from Hash.
 	Parallel int `json:"parallel,omitempty"`
 	// ResolveParallelism sets the intra-slot interference-resolution
 	// worker count (0 = model default, 1 = serial, n = n workers). Like
