@@ -42,6 +42,7 @@ import (
 
 	"dynsched"
 	"dynsched/internal/cli"
+	"dynsched/internal/par"
 	"dynsched/internal/plot"
 	"dynsched/internal/sim"
 )
@@ -306,7 +307,7 @@ func runReplicated(ctx context.Context, sc dynsched.Scenario, reps int, asJSON b
 	fmt.Printf("scenario:    %s\n", sc.Name)
 	fmt.Printf("protocol:    %s  injection: %s  λ=%.4f\n",
 		c.Protocol.Name(), c.Process.Name(), sc.Traffic.Lambda)
-	fmt.Printf("runs:        %d × %d slots, %d workers\n", reps, sc.Sim.Slots, sim.Workers(sc.Sim.Parallel, reps))
+	fmt.Printf("runs:        %d × %d slots, %d workers\n", reps, sc.Sim.Slots, par.Workers(sc.Sim.Parallel, reps))
 	fmt.Printf("%4s  %20s  %10s  %10s  %10s  %s\n", "rep", "seed", "mean queue", "max queue", "mean lat", "verdict")
 	for _, r := range res.Runs {
 		verdict := "stable"

@@ -58,8 +58,8 @@ type Options struct {
 	FarFloor      float64 `json:"farFloor"`
 	CellSize      float64 `json:"cellSize"`
 
-	// ResolveParallelism sets the intra-slot interference-resolution
-	// worker count baked into SINR model resolvers (0 = GOMAXPROCS,
+	// ResolveParallelism sets the worker count baked into SINR models:
+	// their construction and their intra-slot resolvers (0 = GOMAXPROCS,
 	// 1 = serial). A pure execution knob: results are bit-identical at
 	// every value.
 	ResolveParallelism int `json:"resolveParallelism,omitempty"`

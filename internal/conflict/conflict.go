@@ -353,7 +353,7 @@ func NewModel(cg *Graph, order []int) (*Model, error) {
 	// The W matrix of a conflict graph is genuinely sparse (nnz = n plus
 	// one entry per ordered conflicting pair); precompute the CSR form so
 	// measure evaluations cost O(conflicts) instead of O(n²).
-	m.rows = interference.SparseFromWeights(cg.n, m.Weight)
+	m.rows = interference.SparseFromWeights(cg.n, 1, m.Weight)
 	m.rowsVersion = cg.version
 	m.scratch.New = func() any { return interference.NewResolverScratch(cg.n) }
 	return m, nil
@@ -368,7 +368,7 @@ func (m *Model) WeightRows() *interference.Sparse {
 	m.rowsMu.Lock()
 	defer m.rowsMu.Unlock()
 	if m.rowsVersion != m.cg.version {
-		m.rows = interference.SparseFromWeights(m.cg.n, m.Weight)
+		m.rows = interference.SparseFromWeights(m.cg.n, 1, m.Weight)
 		m.rowsVersion = m.cg.version
 	}
 	return m.rows

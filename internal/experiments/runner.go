@@ -4,7 +4,7 @@ import (
 	"context"
 	"time"
 
-	"dynsched/internal/sim"
+	"dynsched/internal/par"
 )
 
 // Outcome is one experiment's result within a suite run.
@@ -32,7 +32,7 @@ func RunAll(ctx context.Context, runners []Runner, scale Scale, seed int64, para
 		ctx = context.Background()
 	}
 	out := make([]Outcome, len(runners))
-	sim.ForEachCtx(ctx, len(runners), parallel, func(i int) {
+	par.For(ctx, len(runners), parallel, func(i int) {
 		r := runners[i]
 		start := time.Now()
 		tbl, err := r.Run(ctx, scale, seed)

@@ -170,7 +170,7 @@ func (d *Dense) WeightRows() *Sparse {
 	d.rowsMu.Lock()
 	defer d.rowsMu.Unlock()
 	if d.rows == nil {
-		d.rows = SparseFromWeights(len(d.w), func(e, e2 int) float64 { return d.w[e][e2] })
+		d.rows = SparseFromWeights(len(d.w), 1, func(e, e2 int) float64 { return d.w[e][e2] })
 	}
 	return d.rows
 }

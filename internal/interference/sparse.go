@@ -1,8 +1,11 @@
 package interference
 
 import (
+	"context"
 	"fmt"
 	"math"
+
+	"dynsched/internal/par"
 )
 
 // Sparse is a compressed-sparse-row (CSR) weight matrix: only the
@@ -31,62 +34,95 @@ type RowsProvider interface {
 	WeightRows() *Sparse
 }
 
-// sparseBuilder accumulates rows in order.
-type sparseBuilder struct {
-	s       *Sparse
-	lastRow int
+// assembleBlockRows is the row-block size of SparseFromRows. Blocks are
+// the unit of parallel work and of allocation; the size is a constant,
+// so the blocks — and with them every allocation — are the same at
+// every worker count.
+const assembleBlockRows = 256
+
+// SparseFromRows assembles an n×n CSR matrix from a per-row emitter:
+// row(e, emit) must call emit(col, v) with strictly ascending columns
+// (it panics otherwise), and zero values are dropped (CSR lookups return
+// the same exact 0). Rows whose support is discovered by a spatial query
+// emit only their candidates, so assembly costs O(nnz), not O(n²).
+//
+// Rows are emitted in fixed blocks of assembleBlockRows on up to
+// workers goroutines (par.Workers semantics) and stitched in row order,
+// so the result is bit-identical to the serial emission and the
+// allocations do not depend on the worker count. row must be safe for
+// concurrent calls on distinct rows.
+func SparseFromRows(n, workers int, row func(e int, emit func(col int32, v float64))) *Sparse {
+	s := &Sparse{n: n, rowPtr: make([]int32, n+1)}
+	blocks := make([]rowBlock, (n+assembleBlockRows-1)/assembleBlockRows)
+	par.For(context.Background(), len(blocks), workers, func(b int) {
+		lo := b * assembleBlockRows
+		blocks[b].fill(lo, min(n, lo+assembleBlockRows), s.rowPtr, row)
+	})
+	// Stitch: rowPtr holds block-local row ends; shift each block by the
+	// entries of the blocks before it and copy its entries into place.
+	nnz := 0
+	for b := range blocks {
+		nnz += len(blocks[b].cols)
+	}
+	s.cols = make([]int32, nnz)
+	s.vals = make([]float64, nnz)
+	base := 0
+	for b := range blocks {
+		lo := b * assembleBlockRows
+		for e := lo; e < min(n, lo+assembleBlockRows); e++ {
+			s.rowPtr[e+1] += int32(base)
+		}
+		copy(s.cols[base:], blocks[b].cols)
+		copy(s.vals[base:], blocks[b].vals)
+		base += len(blocks[b].cols)
+	}
+	return s
 }
 
-// newSparseBuilder starts a CSR builder for an n×n matrix with a
-// capacity hint of nnz entries.
-func newSparseBuilder(n, nnzHint int) *sparseBuilder {
-	return &sparseBuilder{
-		s: &Sparse{
-			n:      n,
-			rowPtr: make([]int32, 1, n+1),
-			cols:   make([]int32, 0, nnzHint),
-			vals:   make([]float64, 0, nnzHint),
-		},
-		lastRow: -1,
+// rowBlock accumulates the entries of one block of rows.
+type rowBlock struct {
+	cols []int32
+	vals []float64
+	prev int32 // last column emitted on the current row
+}
+
+// fill emits rows [lo, hi) into the block, recording each row's
+// block-local end offset in rowPtr[e+1].
+func (b *rowBlock) fill(lo, hi int, rowPtr []int32, row func(e int, emit func(col int32, v float64))) {
+	b.cols = make([]int32, 0, hi-lo)
+	b.vals = make([]float64, 0, hi-lo)
+	emit := b.emit
+	for e := lo; e < hi; e++ {
+		b.prev = -1
+		row(e, emit)
+		rowPtr[e+1] = int32(len(b.cols))
 	}
 }
 
-// add appends entry (e, e2, v). Entries must arrive in row-major order
-// with strictly increasing columns within a row; zero values are
-// dropped.
-func (b *sparseBuilder) add(e, e2 int, v float64) {
+func (b *rowBlock) emit(col int32, v float64) {
+	if col <= b.prev {
+		panic("interference: SparseFromRows columns not strictly ascending")
+	}
+	b.prev = col
 	if v == 0 {
 		return
 	}
-	for b.lastRow < e {
-		b.lastRow++
-		b.s.rowPtr = append(b.s.rowPtr, int32(len(b.s.cols)))
-	}
-	b.s.cols = append(b.s.cols, int32(e2))
-	b.s.vals = append(b.s.vals, v)
-	b.s.rowPtr[len(b.s.rowPtr)-1] = int32(len(b.s.cols))
+	b.cols = append(b.cols, col)
+	b.vals = append(b.vals, v)
 }
 
-// build finalises the matrix.
-func (b *sparseBuilder) build() *Sparse {
-	for b.lastRow < b.s.n-1 {
-		b.lastRow++
-		b.s.rowPtr = append(b.s.rowPtr, int32(len(b.s.cols)))
-	}
-	return b.s
-}
-
-// SparseFromWeights extracts an n×n CSR matrix from a weight function,
-// dropping zero entries. Cost is O(n²) calls — done once per model, it
-// converts every later measure evaluation to O(nnz).
-func SparseFromWeights(n int, weight func(e, e2 int) float64) *Sparse {
-	b := newSparseBuilder(n, n)
-	for e := 0; e < n; e++ {
+// SparseFromWeights extracts an n×n CSR matrix from a dense weight
+// function — a row emitter that scans every column — dropping zero
+// entries. Cost is O(n²) calls, fanned across workers (par.Workers
+// semantics) — done once per model, it converts every later measure
+// evaluation to O(nnz). weight must be safe for concurrent calls on
+// distinct rows.
+func SparseFromWeights(n, workers int, weight func(e, e2 int) float64) *Sparse {
+	return SparseFromRows(n, workers, func(e int, emit func(int32, float64)) {
 		for e2 := 0; e2 < n; e2++ {
-			b.add(e, e2, weight(e, e2))
+			emit(int32(e2), weight(e, e2))
 		}
-	}
-	return b.build()
+	})
 }
 
 // SparseFromModel extracts the model's weight matrix in CSR form. When
@@ -95,7 +131,7 @@ func SparseFromModel(m Model) *Sparse {
 	if rp, ok := m.(RowsProvider); ok {
 		return rp.WeightRows()
 	}
-	return SparseFromWeights(m.NumLinks(), m.Weight)
+	return SparseFromWeights(m.NumLinks(), 1, m.Weight)
 }
 
 // SparseDiag returns the n×n identity matrix in CSR form.

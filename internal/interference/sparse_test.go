@@ -224,3 +224,48 @@ func TestResolverMatchesSuccesses(t *testing.T) {
 		}
 	}
 }
+
+// TestSparseFromRowsAcrossBlocksAndWorkers assembles a matrix spanning
+// several row blocks, with empty rows and dropped zeros, and requires
+// the same entries at every worker count — and a panic for an emitter
+// whose columns are not strictly ascending.
+func TestSparseFromRowsAcrossBlocksAndWorkers(t *testing.T) {
+	const n = 2*assembleBlockRows + 37
+	weight := func(e, e2 int) float64 {
+		if e%7 == 3 || (e*31+e2*17)%5 != 0 {
+			return 0 // row e%7 == 3 stays empty; the rest are sparse
+		}
+		return float64(e+1) / float64(e2+2)
+	}
+	want := SparseFromWeights(n, 1, weight)
+	for _, workers := range []int{1, 2, 4, 0} {
+		got := SparseFromWeights(n, workers, weight)
+		if got.NNZ() != want.NNZ() {
+			t.Fatalf("workers=%d: NNZ %d, serial %d", workers, got.NNZ(), want.NNZ())
+		}
+		for e := 0; e < n; e++ {
+			gc, gv := got.Row(e)
+			wc, wv := want.Row(e)
+			if len(gc) != len(wc) {
+				t.Fatalf("workers=%d row %d: %d entries, serial %d", workers, e, len(gc), len(wc))
+			}
+			for k := range gc {
+				if gc[k] != wc[k] || math.Float64bits(gv[k]) != math.Float64bits(wv[k]) {
+					t.Fatalf("workers=%d row %d entry %d: (%d, %v), serial (%d, %v)", workers, e, k, gc[k], gv[k], wc[k], wv[k])
+				}
+				if gv[k] != weight(e, int(gc[k])) {
+					t.Fatalf("row %d col %d: stored %v, weight %v", e, gc[k], gv[k], weight(e, int(gc[k])))
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("descending columns accepted")
+		}
+	}()
+	SparseFromRows(4, 1, func(e int, emit func(int32, float64)) {
+		emit(2, 1)
+		emit(1, 1)
+	})
+}

@@ -13,10 +13,10 @@
 // deterministic error selection, done/cached accounting — lives here
 // exactly once.
 //
-// Determinism contract (inherited from internal/sim's pool): every
-// unit derives all of its randomness from its own inputs and writes
-// only its own slot of the outcome, so the recorded values are
-// bit-identical for every pool size. Only completion *order* (and so
+// Determinism contract (that of internal/par.For, which runs the
+// units): every unit derives all of its randomness from its own inputs
+// and writes only its own slot of the outcome, so the recorded values
+// are bit-identical for every pool size. Only completion *order* (and so
 // the OnUnit stream order) varies with parallelism; the Outcome is
 // indexed, not ordered.
 package plan
@@ -27,7 +27,7 @@ import (
 	"fmt"
 	"sync"
 
-	"dynsched/internal/sim"
+	"dynsched/internal/par"
 )
 
 // Unit is one addressable work item of a plan: a stable index into the
@@ -157,7 +157,7 @@ func Execute[T any](ctx context.Context, units []Unit, opts Options[T], run func
 		pending = append(pending, i)
 	}
 
-	sim.ForEachCtx(ctx, len(pending), opts.Parallel, func(k int) {
+	par.For(ctx, len(pending), opts.Parallel, func(k int) {
 		i := pending[k]
 		// A per-unit context: cancelling the plan context cancels every
 		// in-flight unit, and a unit's own resources are released as soon

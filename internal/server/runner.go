@@ -33,7 +33,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,6 +40,7 @@ import (
 	"dynsched"
 	"dynsched/api"
 	"dynsched/internal/metrics"
+	"dynsched/internal/par"
 	"dynsched/internal/plan"
 )
 
@@ -88,9 +88,7 @@ type Runner struct {
 
 // NewRunner builds a runner for the coordinator at cfg.Coordinator.
 func NewRunner(cfg RunnerConfig) *Runner {
-	if cfg.Parallel <= 0 {
-		cfg.Parallel = runtime.GOMAXPROCS(0)
-	}
+	cfg.Parallel = par.Workers(cfg.Parallel, math.MaxInt)
 	if cfg.BatchMax <= 0 {
 		cfg.BatchMax = defaultFleetBatchMax
 	}

@@ -40,12 +40,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
+	"math"
 	"sync"
 	"time"
 
 	"dynsched"
 	"dynsched/internal/journal"
+	"dynsched/internal/par"
 	"dynsched/internal/sim"
 )
 
@@ -109,9 +110,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
+	c.Workers = par.Workers(c.Workers, math.MaxInt)
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
@@ -488,10 +487,7 @@ func (s *Server) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 	// units from the lease table and running them here. The pool parks
 	// up to maxFleetInflight units beyond them, so attached runners
 	// always find work; with none attached, every unit runs locally.
-	localN := p.Source.Sim.Parallel
-	if localN <= 0 {
-		localN = runtime.GOMAXPROCS(0)
-	}
+	localN := par.Workers(p.Source.Sim.Parallel, math.MaxInt)
 	switch {
 	case s.cfg.FleetLocal > 0:
 		localN = s.cfg.FleetLocal

@@ -19,6 +19,7 @@ import (
 	"dynsched"
 	"dynsched/api"
 	"dynsched/internal/sim"
+	"dynsched/internal/testenv"
 )
 
 // The event-cap tests name the one job event cap by the stream it
@@ -133,7 +134,7 @@ func streamEvents(t *testing.T, ts *httptest.Server, id string) []Event {
 // passes.
 func waitForState(t *testing.T, ts *httptest.Server, id string, want State) JobView {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(testenv.Timeout(10 * time.Second))
 	for {
 		view := getJob(t, ts, id)
 		if view.State == want {

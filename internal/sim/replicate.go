@@ -7,6 +7,7 @@ import (
 
 	"dynsched/internal/inject"
 	"dynsched/internal/interference"
+	"dynsched/internal/par"
 	"dynsched/internal/stats"
 )
 
@@ -94,7 +95,7 @@ func Replicate(ctx context.Context, cfg Config, reps int, build func(rep int, se
 	runs := make([]Replication, reps)
 	done := make([]bool, reps)
 	errs := make([]error, reps)
-	ForEachCtx(ctx, reps, cfg.Parallel, func(r int) {
+	par.For(ctx, reps, cfg.Parallel, func(r int) {
 		seed := SubSeed(cfg.Seed, r)
 		in, err := build(r, seed)
 		if err != nil {
@@ -140,4 +141,17 @@ func Replicate(ctx context.Context, cfg Config, reps int, build func(rep int, se
 // deadline expiry rather than a genuine simulation failure.
 func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// SubSeed derives the seed of shard i from a base seed via a SplitMix64
+// step, giving well-separated streams even for adjacent bases and
+// shards — the per-shard RNGs the parallel runners build from these
+// share no state. The mapping is a fixed pure function: the same
+// (base, shard) pair always names the same stream, which is what makes
+// serial and parallel runs bit-identical.
+func SubSeed(base int64, shard int) int64 {
+	z := uint64(base) + uint64(shard+1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return int64(z ^ (z >> 31))
 }

@@ -4,39 +4,12 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"dynsched/internal/inject"
 	"dynsched/internal/interference"
 	"dynsched/internal/netgraph"
 )
-
-func TestForEachCoversEveryIndexExactlyOnce(t *testing.T) {
-	for _, parallel := range []int{1, 2, 3, 8, 0, -1} {
-		const n = 137
-		var hits [n]atomic.Int32
-		ForEach(n, parallel, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("parallel=%d: index %d ran %d times", parallel, i, got)
-			}
-		}
-	}
-	ForEach(0, 4, func(i int) { t.Fatal("fn called for n=0") })
-}
-
-func TestWorkers(t *testing.T) {
-	if got := Workers(4, 2); got != 2 {
-		t.Errorf("Workers(4,2) = %d, want 2", got)
-	}
-	if got := Workers(1, 100); got != 1 {
-		t.Errorf("Workers(1,100) = %d, want 1", got)
-	}
-	if got := Workers(0, 100); got < 1 {
-		t.Errorf("Workers(0,100) = %d", got)
-	}
-}
 
 func TestSubSeedStreamsAreDistinct(t *testing.T) {
 	seen := map[int64]bool{}

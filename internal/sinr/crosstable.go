@@ -1,7 +1,10 @@
 package sinr
 
 import (
+	"context"
+
 	"dynsched/internal/interference"
+	"dynsched/internal/par"
 )
 
 // crossDenseMaxLinks is the largest link count for which cross-link
@@ -30,19 +33,15 @@ type crossTable struct {
 }
 
 // buildCrossTable evaluates entry(at, src) for every ordered pair,
-// fanning rows out across GOMAXPROCS goroutines. entry must be safe for
-// concurrent calls and deterministic; the table stores its results
-// verbatim (including ±Inf and sentinel values), so later lookups are
-// bit-identical to calling entry directly.
-func buildCrossTable(n int, entry func(at, src int) float64) *crossTable {
-	return buildCrossTableOpts(n, Options{}, entry)
-}
-
-// buildCrossTableOpts is buildCrossTable with the backing decided by
-// model options: BackDense and BackCSR force their storage, BackAuto
-// switches on the (possibly overridden) dense cap. Every backing stores
-// the same entry values, so lookups are bit-identical across all three.
-func buildCrossTableOpts(n int, opt Options, entry func(at, src int) float64) *crossTable {
+// fanning rows out across the options' construction workers
+// (Options.Parallelism). entry must be safe for concurrent calls and
+// deterministic; the table stores its results verbatim (including ±Inf
+// and sentinel values), so later lookups are bit-identical to calling
+// entry directly. The backing is decided by the options: BackDense and
+// BackCSR force their storage, BackAuto switches on the (possibly
+// overridden) dense cap. Every backing stores the same entry values, so
+// lookups are bit-identical across all three.
+func buildCrossTable(n int, opt Options, entry func(at, src int) float64) *crossTable {
 	t := &crossTable{n: n}
 	dense := n <= opt.denseMax()
 	switch opt.Backing {
@@ -51,24 +50,18 @@ func buildCrossTableOpts(n int, opt Options, entry func(at, src int) float64) *c
 	case BackCSR:
 		dense = false
 	}
-	if dense {
-		t.dense = make([]float64, n*n)
-		interference.ParallelRows(n, func(at int) {
-			row := t.dense[at*n : (at+1)*n]
-			for src := 0; src < n; src++ {
-				row[src] = entry(at, src)
-			}
-		})
+	if !dense {
+		t.rows = interference.SparseFromWeights(n, opt.workers(n), entry)
 		return t
 	}
-	t.rows = buildCrossCSR(n, entry)
+	t.dense = make([]float64, n*n)
+	par.For(context.Background(), n, opt.workers(n), func(at int) {
+		row := t.dense[at*n : (at+1)*n]
+		for src := 0; src < n; src++ {
+			row[src] = entry(at, src)
+		}
+	})
 	return t
-}
-
-// buildCrossCSR is the CSR backing used above crossDenseMaxLinks; split
-// out so tests can exercise it at small n.
-func buildCrossCSR(n int, entry func(at, src int) float64) *interference.Sparse {
-	return interference.SparseFromWeightsParallel(n, entry)
 }
 
 // at returns the table entry for (at, src). CSR-backed tables return

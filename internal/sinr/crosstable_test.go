@@ -184,13 +184,15 @@ func TestCrossTableCSRBackingMatchesDense(t *testing.T) {
 			return float64(at*n+src) * 0.5
 		}
 	}
-	dense := buildCrossTable(n, entry)
+	dense := buildCrossTable(n, Options{}, entry)
 	if dense.dense == nil {
 		t.Fatal("small table should be dense-backed")
 	}
-	// Force the CSR path by building through the same helper the large
-	// tables use.
-	big := crossTable{n: n, rows: buildCrossCSR(n, entry)}
+	// Force the CSR path the large tables take.
+	big := buildCrossTable(n, Options{Backing: BackCSR}, entry)
+	if big.rows == nil {
+		t.Fatal("BackCSR table should be CSR-backed")
+	}
 	for at := 0; at < n; at++ {
 		for src := 0; src < n; src++ {
 			d, c := dense.at(at, src), big.at(at, src)

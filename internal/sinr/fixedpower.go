@@ -1,6 +1,7 @@
 package sinr
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"dynsched/internal/geom"
 	"dynsched/internal/interference"
 	"dynsched/internal/netgraph"
+	"dynsched/internal/par"
 )
 
 // WeightKind selects which Section 6.1 weight matrix a fixed-power model
@@ -76,7 +78,7 @@ type FixedPower struct {
 	gridDeltaUpdates atomic.Uint64
 }
 
-// fpScratch fill modes: which range body runChunks executes.
+// fpScratch fill modes: which range body RunChunks executes.
 const (
 	fpModeTable = iota
 	fpModeIndexedExact
@@ -86,7 +88,7 @@ const (
 // fpScratch is the per-resolver buffer set: slot counting plus, under
 // the indexed backing, the per-slot spatial grid and its id/ring
 // buffers. It doubles as the resolver's parallel fan-out job (it
-// implements chunkRunner), so dispatching a slot across workers stays
+// implements par.Runner), so dispatching a slot across workers stays
 // allocation-free.
 type fpScratch struct {
 	rs   *interference.ResolverScratch
@@ -99,7 +101,7 @@ type fpScratch struct {
 	// concurrent grid queries never share scratch.
 	m       *FixedPower
 	workers int
-	job     parJob
+	job     par.Job
 	mode    int
 	tx      []int
 	out     []bool
@@ -113,14 +115,15 @@ var (
 	_ interference.SlotResolver         = (*FixedPower)(nil)
 	_ interference.ParallelResolver     = (*FixedPower)(nil)
 	_ interference.ResolveStatsProvider = (*FixedPower)(nil)
-	_ chunkRunner                       = (*fpScratch)(nil)
+	_ par.Runner                        = (*fpScratch)(nil)
 )
 
 // NewFixedPower builds a fixed-power SINR model with default options.
 // The graph must carry node positions and powers must have one positive
 // entry per link. Construction precomputes the cross-gain table and both
-// weight matrices, fanning the O(n²) work across GOMAXPROCS goroutines;
-// the results are bit-identical to the serial per-pair evaluation.
+// weight matrices, fanning the O(n²) work across Options.Parallelism
+// workers (GOMAXPROCS by default); the results are bit-identical to the
+// serial per-pair evaluation at every worker count.
 func NewFixedPower(g *netgraph.Graph, prm Params, powers []float64, kind WeightKind) (*FixedPower, error) {
 	return NewFixedPowerOpts(g, prm, powers, kind, Options{})
 }
@@ -173,7 +176,7 @@ func NewFixedPowerOpts(g *netgraph.Graph, prm Params, powers []float64, kind Wei
 			return nil, err
 		}
 	} else {
-		m.gain = buildCrossTableOpts(n, opt, func(at, src int) float64 {
+		m.gain = buildCrossTable(n, opt, func(at, src int) float64 {
 			recv := g.Link(netgraph.LinkID(at)).To
 			d := g.NodeDist(g.Link(netgraph.LinkID(src)).From, recv)
 			// d == 0 divides to +Inf — the sentinel the SINR test expects.
@@ -186,7 +189,7 @@ func NewFixedPowerOpts(g *netgraph.Graph, prm Params, powers []float64, kind Wei
 		return &fpScratch{
 			rs:      interference.NewResolverScratch(n),
 			m:       m,
-			workers: effectiveWorkers(opt.Parallelism),
+			workers: opt.workers(n),
 		}
 	}
 	return m, nil
@@ -259,14 +262,16 @@ func (m *FixedPower) ensureWeights() {
 
 // buildWeightsExact derives the analysis matrix entry for entry — via
 // the gain table when one exists, via the identical on-demand formula
-// under the indexed backing — and extracts its CSR form, both
-// parallelized across rows. The result matches the Affectance-based
-// construction bit for bit (same operations on the same values).
+// under the indexed backing — and extracts its CSR form, both fanned
+// across the construction workers (Options.Parallelism). The result
+// matches the Affectance-based construction bit for bit (same
+// operations on the same values).
 func (m *FixedPower) buildWeightsExact() {
 	n := m.g.NumLinks()
 	m.w = make([][]float64, n)
 	betaNoise := m.prm.Beta * m.prm.Noise
-	interference.ParallelRows(n, func(e int) {
+	workers := m.opts.workers(n)
+	par.For(context.Background(), n, workers, func(e int) {
 		row := make([]float64, n)
 		for e2 := 0; e2 < n; e2++ {
 			if e == e2 {
@@ -287,7 +292,7 @@ func (m *FixedPower) buildWeightsExact() {
 		}
 		m.w[e] = row
 	})
-	m.rows = interference.SparseFromWeightsParallel(n, func(e, e2 int) float64 { return m.w[e][e2] })
+	m.rows = interference.SparseFromWeights(n, workers, func(e, e2 int) float64 { return m.w[e][e2] })
 }
 
 // WeightRows implements interference.RowsProvider. For monotone
@@ -379,7 +384,7 @@ func (m *FixedPower) runRanges(sc *fpScratch) {
 		for len(sc.wring) < workers {
 			sc.wring = append(sc.wring, nil)
 		}
-		runParallel(&sc.job, sc, n, workers)
+		par.Run(&sc.job, sc, n, workers)
 		return
 	}
 	if len(sc.wring) == 0 {
@@ -388,11 +393,11 @@ func (m *FixedPower) runRanges(sc *fpScratch) {
 	m.fillRange(sc, 0, 0, n)
 }
 
-// runChunks implements chunkRunner: claim contiguous tx ranges until
+// RunChunks implements par.Runner: claim contiguous tx ranges until
 // the slot is exhausted.
-func (sc *fpScratch) runChunks(slot int) {
+func (sc *fpScratch) RunChunks(slot int) {
 	for {
-		lo, hi := sc.job.claim()
+		lo, hi := sc.job.Claim()
 		if lo < 0 {
 			return
 		}
@@ -630,7 +635,7 @@ func (m *FixedPower) indexedInterference(sc *fpScratch, e int, ptotal float64, r
 // Options.Parallelism (default GOMAXPROCS); results are bit-identical
 // at every worker count.
 func (m *FixedPower) NewResolver() func(tx []int) []bool {
-	return m.NewResolverN(effectiveWorkers(m.opts.Parallelism))
+	return m.NewResolverN(m.opts.workers(m.NumLinks()))
 }
 
 // NewResolverN implements interference.ParallelResolver: a resolver
@@ -652,7 +657,7 @@ func (m *FixedPower) NewResolverN(workers int) func(tx []int) []bool {
 // ResolveStats implements interference.ResolveStatsProvider.
 func (m *FixedPower) ResolveStats() interference.ResolveStats {
 	return interference.ResolveStats{
-		Workers:          effectiveWorkers(m.opts.Parallelism),
+		Workers:          m.opts.workers(m.NumLinks()),
 		GridRebuilds:     m.gridRebuilds.Load(),
 		GridDeltaUpdates: m.gridDeltaUpdates.Load(),
 	}

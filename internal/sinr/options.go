@@ -3,6 +3,8 @@ package sinr
 import (
 	"fmt"
 	"math"
+
+	"dynsched/internal/par"
 )
 
 // Backing selects how a model stores its cross-link tables and resolves
@@ -79,11 +81,13 @@ type Options struct {
 	// CellSize overrides the spatial grid's cell side length (0 sizes
 	// cells automatically to ≈1 point per cell).
 	CellSize float64
-	// Parallelism is the intra-slot worker count of the model's default
+	// Parallelism is the worker count of the model's construction (the
+	// cross tables and analysis-matrix builds) and of its default
 	// resolvers: 0 picks GOMAXPROCS, 1 forces strictly serial
-	// resolution, n uses n workers. Results are bit-identical at every
-	// setting — the knob trades wall-clock only — so it is an execution
-	// option, not part of a scenario's physical identity.
+	// construction and resolution, n uses n workers. Results are
+	// bit-identical at every setting — the knob trades wall-clock only —
+	// so it is an execution option, not part of a scenario's physical
+	// identity.
 	Parallelism int
 }
 
@@ -106,6 +110,9 @@ func (o Options) validate() error {
 	}
 	return nil
 }
+
+// workers resolves Parallelism for a model of n links.
+func (o Options) workers(n int) int { return par.Workers(o.Parallelism, n) }
 
 // denseMax resolves the effective dense-table cap.
 func (o Options) denseMax() int {

@@ -1,6 +1,7 @@
 package sinr
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"dynsched/internal/geom"
 	"dynsched/internal/interference"
 	"dynsched/internal/netgraph"
+	"dynsched/internal/par"
 )
 
 // PowerControl is the SINR model of Section 6.2 in which the protocol may
@@ -69,10 +71,10 @@ var (
 	_ interference.SlotResolver         = (*PowerControl)(nil)
 	_ interference.ParallelResolver     = (*PowerControl)(nil)
 	_ interference.ResolveStatsProvider = (*PowerControl)(nil)
-	_ chunkRunner                       = (*pcScratch)(nil)
+	_ par.Runner                        = (*pcScratch)(nil)
 )
 
-// pcScratch phase modes: which row body runChunks executes.
+// pcScratch phase modes: which row body RunChunks executes.
 const (
 	pcModeGain = iota
 	pcModeIter
@@ -82,7 +84,7 @@ const (
 // pcScratch is the reusable buffer set of one feasibility computation:
 // slot counting, the candidate set, a per-link served mark, and the
 // flat k×k gain system of the fixed-point solver. It doubles as the
-// solver's parallel fan-out job (chunkRunner): the gain-row build, each
+// solver's parallel fan-out job (par.Runner): the gain-row build, each
 // fixed-point iteration pass, and the shed sums shard across rows with
 // per-worker scratch, and the serial early-returns become atomic flags
 // checked after the pass — same boolean outcomes, scratch-only
@@ -98,7 +100,7 @@ type pcScratch struct {
 
 	m       *PowerControl
 	workers int
-	job     parJob
+	job     par.Job
 	mode    int
 	curSet  []int
 	wcross  [][]float64 // per-worker gathered table rows
@@ -108,10 +110,10 @@ type pcScratch struct {
 	capped  atomic.Bool // iteration exceeded the power cap
 }
 
-// runChunks implements chunkRunner for the solver's active phase.
-func (sc *pcScratch) runChunks(slot int) {
+// RunChunks implements par.Runner for the solver's active phase.
+func (sc *pcScratch) RunChunks(slot int) {
 	for {
-		lo, hi := sc.job.claim()
+		lo, hi := sc.job.Claim()
 		if lo < 0 {
 			return
 		}
@@ -144,8 +146,9 @@ func (sc *pcScratch) ensureWorkerBufs() {
 
 // NewPowerControl builds a power-control SINR model on g with default
 // options. The O(n²) cross-distance table and weight matrix are
-// precomputed in parallel; the results are bit-identical to the serial
-// per-pair evaluation.
+// precomputed across Options.Parallelism workers (GOMAXPROCS by
+// default); the results are bit-identical to the serial per-pair
+// evaluation at every worker count.
 func NewPowerControl(g *netgraph.Graph, prm Params) (*PowerControl, error) {
 	return NewPowerControlOpts(g, prm, Options{})
 }
@@ -197,7 +200,7 @@ func NewPowerControlOpts(g *netgraph.Graph, prm Params, opt Options) (*PowerCont
 			m.recvPos[e] = g.Pos(l.To)
 		}
 	} else {
-		m.cross = buildCrossTableOpts(n, opt, func(at, src int) float64 {
+		m.cross = buildCrossTable(n, opt, func(at, src int) float64 {
 			d := g.SenderReceiverDist(netgraph.LinkID(src), netgraph.LinkID(at))
 			if d == 0 {
 				return -1 // sentinel: exact zero distance, not an underflowed power
@@ -212,7 +215,7 @@ func NewPowerControlOpts(g *netgraph.Graph, prm Params, opt Options) (*PowerCont
 			set:     make([]int, 0, n),
 			served:  make([]bool, n),
 			m:       m,
-			workers: effectiveWorkers(opt.Parallelism),
+			workers: opt.workers(n),
 		}
 	}
 	return m, nil
@@ -245,12 +248,14 @@ func (m *PowerControl) ensureWeights() {
 
 // buildWeightsExact derives the distance-ratio matrix — from the
 // precomputed tables when they exist, from the identical on-demand
-// evaluation under the indexed backing — fanned out across rows. Entry
-// for entry it matches the direct construction bit for bit.
+// evaluation under the indexed backing — fanned across the construction
+// workers (Options.Parallelism). Entry for entry it matches the direct
+// construction bit for bit.
 func (m *PowerControl) buildWeightsExact() {
 	n := m.g.NumLinks()
 	m.w = make([][]float64, n)
-	interference.ParallelRows(n, func(e int) {
+	workers := m.opts.workers(n)
+	par.For(context.Background(), n, workers, func(e int) {
 		row := make([]float64, n)
 		row[e] = 1
 		dOwn := m.lenAlpha[e]
@@ -280,7 +285,7 @@ func (m *PowerControl) buildWeightsExact() {
 	})
 	// The shorter-link-only charging rule zeroes roughly half the matrix;
 	// expose the CSR form for O(nnz) measure evaluation.
-	m.rows = interference.SparseFromWeightsParallel(n, func(e, e2 int) float64 { return m.w[e][e2] })
+	m.rows = interference.SparseFromWeights(n, workers, func(e, e2 int) float64 { return m.w[e][e2] })
 }
 
 // WeightRows implements interference.RowsProvider.
@@ -353,7 +358,7 @@ func (m *PowerControl) solveInto(sc *pcScratch, set []int) bool {
 	sc.failed.Store(false)
 	if sc.workers > 1 && k >= parallelMinRows {
 		sc.mode = pcModeGain
-		runParallel(&sc.job, sc, k, sc.workers)
+		par.Run(&sc.job, sc, k, sc.workers)
 	} else {
 		m.gainRows(sc, 0, 0, k)
 	}
@@ -370,16 +375,16 @@ func (m *PowerControl) solveInto(sc *pcScratch, set []int) bool {
 	for i := range p {
 		p[i] = 0
 	}
-	par := sc.workers > 1 && k >= parallelMinIterRows
+	fanOut := sc.workers > 1 && k >= parallelMinIterRows
 	for it := 0; it < m.maxIter; it++ {
 		sc.capped.Store(false)
 		maxRel := 0.0
-		if par {
+		if fanOut {
 			for w := range sc.wmax {
 				sc.wmax[w] = 0
 			}
 			sc.mode = pcModeIter
-			runParallel(&sc.job, sc, k, sc.workers)
+			par.Run(&sc.job, sc, k, sc.workers)
 			if sc.capped.Load() {
 				return false
 			}
@@ -574,7 +579,7 @@ func (m *PowerControl) Successes(tx []int) []bool {
 // intra-slot worker pool per Options.Parallelism (default GOMAXPROCS);
 // results are bit-identical at every worker count.
 func (m *PowerControl) NewResolver() func(tx []int) []bool {
-	return m.NewResolverN(effectiveWorkers(m.opts.Parallelism))
+	return m.NewResolverN(m.opts.workers(m.NumLinks()))
 }
 
 // NewResolverN implements interference.ParallelResolver: a resolver
@@ -597,7 +602,7 @@ func (m *PowerControl) NewResolverN(workers int) func(tx []int) []bool {
 // power-control model has no spatial slot grid, so only the worker
 // count is reported.
 func (m *PowerControl) ResolveStats() interference.ResolveStats {
-	return interference.ResolveStats{Workers: effectiveWorkers(m.opts.Parallelism)}
+	return interference.ResolveStats{Workers: m.opts.workers(m.NumLinks())}
 }
 
 // shedWorst removes the link that suffers the largest summed weight from
@@ -613,7 +618,7 @@ func (m *PowerControl) shedWorst(sc *pcScratch, set []int) []int {
 	sc.curSet = set
 	if sc.workers > 1 && k >= parallelMinRows {
 		sc.mode = pcModeShed
-		runParallel(&sc.job, sc, k, sc.workers)
+		par.Run(&sc.job, sc, k, sc.workers)
 	} else {
 		m.shedSums(sc, 0, k)
 	}

@@ -50,7 +50,7 @@ func (m *FixedPower) buildWeightsFloorSparse() {
 	}
 	invAlpha := 1 / alpha
 	m.w = nil
-	m.rows = interference.SparseFromRowsParallel(n, func(e int, emit func(int32, float64)) {
+	m.rows = interference.SparseFromRows(n, m.opts.workers(n), func(e int, emit func(int32, float64)) {
 		margin := m.signals[e] - betaNoise
 		// a_p(e2 → e) ≥ ε needs gain ≥ ε·margin/β, i.e. the interfering
 		// sender within rFwd of e's receiver (pmax bounds its power).
@@ -107,7 +107,7 @@ func (m *PowerControl) buildWeightsFloorSparse() {
 	recvIdx := geom.NewGridIndex(m.recvPos, m.opts.CellSize)
 	scale := math.Pow(2/eps, 1/alpha)
 	m.w = nil
-	m.rows = interference.SparseFromRowsParallel(n, func(e int, emit func(int32, float64)) {
+	m.rows = interference.SparseFromRows(n, m.opts.workers(n), func(e int, emit func(int32, float64)) {
 		radius := m.lens[e] * scale
 		cand := senderIdx.Within(m.recvPos[e], radius, m.sendPos, nil)
 		cand = recvIdx.Within(m.sendPos[e], radius, m.recvPos, cand)

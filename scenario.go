@@ -135,8 +135,9 @@ type SimSpec struct {
 	// value, and it is excluded from Hash.
 	Parallel int `json:"parallel,omitempty"`
 	// ResolveParallelism sets the intra-slot interference-resolution
-	// worker count (0 = model default, 1 = serial, n = n workers). Like
-	// Parallel it is an execution knob, not part of the experiment:
+	// worker count (0 = model default, 1 = serial, n = n workers), which
+	// also sizes SINR model construction. Like Parallel it is an
+	// execution knob, not part of the experiment:
 	// per-link interference sums keep their exact serial accumulation
 	// order at any worker count, so results are bit-identical for every
 	// value, and it is excluded from Hash.
