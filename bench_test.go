@@ -337,6 +337,42 @@ func BenchmarkPlanSweep64(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileIndexed4k is the paired control for the model cache:
+// compiling the 4096-link indexed sinr-grid-4k scenario at a new seed
+// per iteration, fresh (Scenario.Compile builds graph, model and the
+// floor-sparse analysis matrix every time) against cached (a warm
+// ModelCache reuses the network; the process and protocol are still
+// built per call).
+func BenchmarkCompileIndexed4k(b *testing.B) {
+	sc, ok := ScenarioByName("sinr-grid-4k")
+	if !ok {
+		b.Fatal("sinr-grid-4k not registered")
+	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sc.Sim.Seed = int64(i) + 1
+			if _, err := sc.Compile(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("cached", func(b *testing.B) {
+		mc := NewModelCache()
+		if _, err := mc.Compile(sc); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sc.Sim.Seed = int64(i) + 1
+			if _, err := mc.Compile(sc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkE15SpatialScale(b *testing.B) { benchExperiment(b, "E15") }
 
 // ---- Scale benchmarks: the spatially-indexed SINR backing ----

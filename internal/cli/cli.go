@@ -86,12 +86,101 @@ type Workload struct {
 	Diag *ModelDiag
 }
 
-// Build assembles the workload from the options.
+// NetworkOptions is the whole input of the network layer — graph,
+// routes and interference model — with its defaults resolved. It is
+// comparable and BuildNetwork reads nothing else, so two equal values
+// always build identical networks: it is the model-cache key, and a key
+// cannot miss an input. Options.Network derives it.
+type NetworkOptions struct {
+	Model string
+	// Topology is resolved: never "" or "auto".
+	Topology string
+	Nodes    int
+	Links    int
+	Hops     int
+	// Gen is the generator topology's spec with its link count and
+	// defaults resolved, its seed included (zero for other topologies).
+	Gen Generator
+	// The SINR storage knobs and construction parallelism (see Options).
+	Backing            string
+	DenseMaxLinks      int
+	FarFloor           float64
+	CellSize           float64
+	ResolveParallelism int
+	// Seed places the pairs topology. It is zero for every other
+	// topology, which draws nothing from the workload seed (a
+	// generator's placement seed is Gen.Seed).
+	Seed int64
+}
+
+// Network derives the network layer's options from the workload's.
+func (o Options) Network() NetworkOptions {
+	n := NetworkOptions{
+		Model:              o.Model,
+		Topology:           o.Topology,
+		Nodes:              o.Nodes,
+		Links:              o.Links,
+		Hops:               o.Hops,
+		Backing:            o.Backing,
+		DenseMaxLinks:      o.DenseMaxLinks,
+		FarFloor:           o.FarFloor,
+		CellSize:           o.CellSize,
+		ResolveParallelism: o.ResolveParallelism,
+	}
+	if n.Topology == "" || n.Topology == "auto" {
+		switch o.Model {
+		case "identity":
+			n.Topology = "line"
+		case "mac":
+			n.Topology = "mac"
+		default:
+			n.Topology = "pairs"
+		}
+	}
+	switch n.Topology {
+	case "pairs":
+		n.Seed = o.Seed
+	case "generator":
+		gen := o.Gen
+		if gen.Links == 0 {
+			gen.Links = o.Links
+		}
+		n.Gen = gen.withDefaults(o.Seed)
+	}
+	return n
+}
+
+// Network is a workload's network layer: everything that depends only
+// on NetworkOptions. Its model is immutable or keeps its lazy state
+// behind sync.Once and sync.Pool, so one Network may serve any number
+// of runs, concurrent ones included; Assemble adds the per-run parts.
+type Network struct {
+	Graph *netgraph.Graph
+	Model interference.Model
+	// Diag is the SINR table-backing record (nil for non-SINR models).
+	Diag  *ModelDiag
+	Paths []netgraph.Path
+	// M is the instance's path-count bound and Hops its path-length
+	// bound D.
+	M    int
+	Hops int
+}
+
+// Build assembles the workload from the options: BuildNetwork, then
+// Assemble.
 func Build(o Options) (*Workload, error) {
-	g, model, diag, paths, m, hops, err := buildNetwork(o)
+	net, err := BuildNetwork(o.Network())
 	if err != nil {
 		return nil, err
 	}
+	return Assemble(o, net)
+}
+
+// Assemble wires one run onto a built network: the loss wrapper, the
+// injection process and the protocol. It reads the network and never
+// changes it.
+func Assemble(o Options, net *Network) (*Workload, error) {
+	model := net.Model
 	if o.LossP > 0 {
 		// NewLossy wires a draw-counted RNG so lossy runs can be
 		// checkpointed; the stream is identical to the previous
@@ -128,16 +217,16 @@ func Build(o Options) (*Workload, error) {
 		}
 		var adv inject.Adversary
 		if rotate {
-			adv, err = inject.NewRotating(model, paths, o.Window, o.Lambda, timing)
+			adv, err = inject.NewRotating(model, net.Paths, o.Window, o.Lambda, timing)
 		} else {
-			adv, err = inject.NewPattern(model, paths, o.Window, o.Lambda, timing)
+			adv, err = inject.NewPattern(model, net.Paths, o.Window, o.Lambda, timing)
 		}
 		if err != nil {
 			return nil, err
 		}
 		proc, window = adv, o.Window
 	} else {
-		stoch, err := MultiPathStochastic(model, paths, o.Lambda)
+		stoch, err := MultiPathStochastic(model, net.Paths, o.Lambda)
 		if err != nil {
 			return nil, err
 		}
@@ -145,19 +234,19 @@ func Build(o Options) (*Workload, error) {
 	}
 
 	proto, err := core.New(core.Config{
-		Model: model, Alg: alg, M: m, T: o.Frame,
+		Model: model, Alg: alg, M: net.M, T: o.Frame,
 		Lambda: o.Lambda, Eps: o.Eps,
-		Window: window, D: hops, Seed: o.Seed,
+		Window: window, D: net.Hops, Seed: o.Seed,
 		DisableDelays: o.DisableDelays,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Workload{Graph: g, Model: model, Paths: paths, M: m, Protocol: proto, Process: proc, Diag: diag}, nil
+	return &Workload{Graph: net.Graph, Model: model, Paths: net.Paths, M: net.M, Protocol: proto, Process: proc, Diag: net.Diag}, nil
 }
 
 // modelOptions resolves the SINR storage knobs into a sinr.Options.
-func modelOptions(o Options) (sinr.Options, error) {
+func modelOptions(o NetworkOptions) (sinr.Options, error) {
 	backing, err := sinr.ParseBacking(o.Backing)
 	if err != nil {
 		return sinr.Options{}, err
@@ -171,24 +260,12 @@ func modelOptions(o Options) (sinr.Options, error) {
 	}, nil
 }
 
-func buildNetwork(o Options) (*netgraph.Graph, interference.Model, *ModelDiag, []netgraph.Path, int, int, error) {
-	rng := rand.New(rand.NewSource(o.Seed))
-	topology := o.Topology
-	if topology == "" || topology == "auto" {
-		switch o.Model {
-		case "identity":
-			topology = "line"
-		case "mac":
-			topology = "mac"
-		default:
-			topology = "pairs"
-		}
-	}
-
+// BuildNetwork builds the network layer: graph, routes and model.
+func BuildNetwork(o NetworkOptions) (*Network, error) {
 	var g *netgraph.Graph
 	var paths []netgraph.Path
 	effHops := o.Hops
-	switch topology {
+	switch o.Topology {
 	case "line":
 		g = netgraph.LineNetwork(o.Nodes, 1)
 		hops := o.Hops
@@ -200,7 +277,7 @@ func buildNetwork(o Options) (*netgraph.Graph, interference.Model, *ModelDiag, [
 		}
 		p, ok := netgraph.ShortestPath(g, 0, netgraph.NodeID(hops))
 		if !ok {
-			return nil, nil, nil, nil, 0, 0, fmt.Errorf("no %d-hop path on line", hops)
+			return nil, fmt.Errorf("no %d-hop path on line", hops)
 		}
 		paths = []netgraph.Path{p}
 	case "grid":
@@ -223,7 +300,7 @@ func buildNetwork(o Options) (*netgraph.Graph, interference.Model, *ModelDiag, [
 		for v := netgraph.NodeID(1); int(v) < g.NumNodes(); v++ {
 			p, ok := rt.Path(v, 0)
 			if !ok {
-				return nil, nil, nil, nil, 0, 0, fmt.Errorf("grid node %d cannot reach the sink", v)
+				return nil, fmt.Errorf("grid node %d cannot reach the sink", v)
 			}
 			paths = append(paths, p)
 			if len(p) > effHops {
@@ -231,6 +308,7 @@ func buildNetwork(o Options) (*netgraph.Graph, interference.Model, *ModelDiag, [
 			}
 		}
 	case "pairs":
+		rng := rand.New(rand.NewSource(o.Seed))
 		g = netgraph.RandomPairs(rng, o.Links, 10*float64(intSqrt(o.Links))+10, 1, 4)
 		for e := 0; e < g.NumLinks(); e++ {
 			paths = append(paths, netgraph.Path{netgraph.LinkID(e)})
@@ -246,23 +324,19 @@ func buildNetwork(o Options) (*netgraph.Graph, interference.Model, *ModelDiag, [
 			paths = append(paths, netgraph.Path{netgraph.LinkID(e)})
 		}
 	case "generator":
-		gen := o.Gen
-		if gen.Links == 0 {
-			gen.Links = o.Links
-		}
 		var err error
-		g, err = gen.Build(o.Seed)
+		g, err = o.Gen.Build(0) // Gen is resolved, its seed included
 		if err != nil {
-			return nil, nil, nil, nil, 0, 0, err
+			return nil, err
 		}
 		for e := 0; e < g.NumLinks(); e++ {
 			paths = append(paths, netgraph.Path{netgraph.LinkID(e)})
 		}
 	default:
-		return nil, nil, nil, nil, 0, 0, fmt.Errorf("unknown topology %q", topology)
+		return nil, fmt.Errorf("unknown topology %q", o.Topology)
 	}
 	if len(paths) == 0 {
-		return nil, nil, nil, nil, 0, 0, fmt.Errorf("topology %q produced no paths", topology)
+		return nil, fmt.Errorf("topology %q produced no paths", o.Topology)
 	}
 
 	inst := netgraph.NewInstance(g, effHops)
@@ -276,7 +350,7 @@ func buildNetwork(o Options) (*netgraph.Graph, interference.Model, *ModelDiag, [
 	case "sinr-linear", "sinr-uniform":
 		opt, err := modelOptions(o)
 		if err != nil {
-			return nil, nil, nil, nil, 0, 0, err
+			return nil, err
 		}
 		prm := sinr.DefaultParams()
 		kind, wk := sinr.PowerLinear, sinr.WeightAffectance
@@ -285,30 +359,30 @@ func buildNetwork(o Options) (*netgraph.Graph, interference.Model, *ModelDiag, [
 		}
 		powers, err := sinr.Powers(g, prm, kind, 1)
 		if err != nil {
-			return nil, nil, nil, nil, 0, 0, err
+			return nil, err
 		}
 		prm.Noise = sinr.MaxNoise(g, prm, powers, 0.5)
 		fp, err := sinr.NewFixedPowerOpts(g, prm, powers, wk, opt)
 		if err != nil {
-			return nil, nil, nil, nil, 0, 0, err
+			return nil, err
 		}
 		model = fp
 		diag = tableDiag(fp.Table())
 	case "sinr-power-control":
 		opt, err := modelOptions(o)
 		if err != nil {
-			return nil, nil, nil, nil, 0, 0, err
+			return nil, err
 		}
 		pc, err := sinr.NewPowerControlOpts(g, sinr.DefaultParams(), opt)
 		if err != nil {
-			return nil, nil, nil, nil, 0, 0, err
+			return nil, err
 		}
 		model = pc
 		diag = tableDiag(pc.Table())
 	default:
-		return nil, nil, nil, nil, 0, 0, fmt.Errorf("unknown model %q", o.Model)
+		return nil, fmt.Errorf("unknown model %q", o.Model)
 	}
-	return g, model, diag, paths, inst.M(), effHops, nil
+	return &Network{Graph: g, Model: model, Diag: diag, Paths: paths, M: inst.M(), Hops: effHops}, nil
 }
 
 // tableDiag converts a model's TableInfo into the diagnostics record.

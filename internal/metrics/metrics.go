@@ -39,7 +39,8 @@ const (
 
 // Counter is a monotonically increasing value.
 type Counter struct {
-	v atomic.Uint64
+	v  atomic.Uint64
+	fn func() uint64 // non-nil for callback-backed counters
 }
 
 // Inc adds one.
@@ -48,8 +49,14 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Add adds n (n must be non-negative; counters only go up).
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
+// Value returns the current count, consulting the callback for
+// callback-backed counters.
+func (c *Counter) Value() uint64 {
+	if c.fn != nil {
+		return c.fn()
+	}
+	return c.v.Load()
+}
 
 // Gauge is a value that can go up and down. It stores a float64 so it
 // can carry ratios as well as counts.
@@ -245,6 +252,13 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 // With returns the child counter for the given label values.
 func (v *CounterVec) With(labelValues ...string) *Counter {
 	return v.f.child(labelValues).counter
+}
+
+// Func registers a callback-backed child counter for the label values:
+// f must never decrease. It suits counts the instrumented component
+// already keeps.
+func (v *CounterVec) Func(f func() uint64, labelValues ...string) {
+	v.f.child(labelValues).counter.fn = f
 }
 
 // GaugeVec is a gauge family with labels.

@@ -19,6 +19,7 @@ func TestExpositionGolden(t *testing.T) {
 	cv := r.CounterVec("test_hits_total", "Hits by tier.", "tier")
 	cv.With("memory").Add(5)
 	cv.With("disk").Inc()
+	cv.Func(func() uint64 { return 9 }, "model")
 	r.Gauge("test_depth", "Queue depth.").Set(7)
 	r.GaugeFunc("test_workers", "Workers.", func() float64 { return 4 })
 	gv := r.GaugeVec("test_jobs", "Jobs by state.", "state")
@@ -40,6 +41,7 @@ func TestExpositionGolden(t *testing.T) {
 		`# TYPE test_hits_total counter`,
 		`test_hits_total{tier="memory"} 5`,
 		`test_hits_total{tier="disk"} 1`,
+		`test_hits_total{tier="model"} 9`,
 		`# HELP test_jobs Jobs by state.`,
 		`# TYPE test_jobs gauge`,
 		`test_jobs{state="queued"} 2`,

@@ -105,18 +105,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Compile the first unit eagerly so unbuildable specs fail the
-	// submission, not the worker: the submitter gets the diagnostic
-	// synchronously. (Units differ only in resolved parameter values,
-	// so the first stands in for all.) The compilation rides along to
-	// the worker as unit 0's instead of being redone.
-	compiled, err := p.Units[0].Scenario.Compile()
-	if err != nil {
+	// A result-cache hit is served without compiling; otherwise
+	// submitPlan compiles the first unit so an unbuildable spec fails
+	// here, synchronously, instead of in the worker.
+	j, cached, err := s.submitPlan(p, req.NoCache)
+	var bad *specError
+	if errors.As(err, &bad) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-
-	j, cached, err := s.submitPlan(p, compiled, req.NoCache)
 	if errors.Is(err, errQueueFull) {
 		writeError(w, http.StatusServiceUnavailable, "job queue is full (%d queued); retry later", s.queueLen())
 		return

@@ -94,6 +94,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.cacheEvictMem = evict.With("memory")
 	m.cacheEvictDisk = evict.With("disk")
 
+	models := r.CounterVec("dynsched_model_cache_total", "Compilations by model-cache outcome: hit (the network was cached or being built) or miss (it was built).", "outcome")
+	models.Func(func() uint64 { hits, _ := s.models.Stats(); return hits }, "hit")
+	models.Func(func() uint64 { _, misses := s.models.Stats(); return misses }, "miss")
+
 	m.fleetLeases = r.Counter("dynsched_fleet_leases_total", "Plan units granted to fleet runners (re-grants included).")
 	m.fleetReleases = r.Counter("dynsched_fleet_releases_total", "Fleet leases released by expiry or drain and returned to pending.")
 	m.fleetReports = r.CounterVec("dynsched_fleet_reports_total", "Fleet unit reports, by outcome: merged, failed (remote execution error), rejected (stale lease).", "outcome")

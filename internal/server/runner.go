@@ -66,9 +66,10 @@ type RunnerConfig struct {
 
 // Runner executes leased plan units for one coordinator.
 type Runner struct {
-	cfg RunnerConfig
-	hc  *http.Client
-	pm  *plan.Metrics
+	cfg    RunnerConfig
+	hc     *http.Client
+	pm     *plan.Metrics
+	models *dynsched.ModelCache // networks shared across leased units
 
 	leases    *metrics.Counter
 	leaseRTT  *metrics.Histogram
@@ -112,6 +113,7 @@ func NewRunner(cfg RunnerConfig) *Runner {
 			IdleConnTimeout:     90 * time.Second,
 		}},
 		pm:       plan.NewMetrics(cfg.Registry),
+		models:   dynsched.NewModelCache(),
 		leases:   cfg.Registry.Counter("dynsched_runner_leases_total", "Lease round-trips that granted at least one unit."),
 		leaseRTT: cfg.Registry.Histogram("dynsched_runner_lease_rtt_seconds", "Lease request round-trip time.", metrics.ExpBuckets(0.0001, 2, 16)),
 	}
@@ -275,9 +277,10 @@ func (r *Runner) execute(ctx context.Context, u api.LeasedUnit) api.UnitReport {
 	return rep
 }
 
-// runUnit compiles and simulates one unit's scenario.
+// runUnit compiles one unit's scenario on the runner's model cache and
+// simulates it.
 func (r *Runner) runUnit(ctx context.Context, u api.LeasedUnit) (*dynsched.SimResult, error) {
-	cs, err := u.Scenario.Compile()
+	cs, err := r.models.Compile(u.Scenario)
 	if err != nil {
 		return nil, err
 	}

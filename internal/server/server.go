@@ -131,6 +131,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	cache   *Cache
+	models  *dynsched.ModelCache // networks shared by submit-time and unit compiles
 	queue   chan *Job
 	metrics *serverMetrics
 	fleet   *leaseManager
@@ -163,6 +164,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		cache:   NewCache(cfg.CacheEntries, cfg.CacheDir, cfg.CacheDiskMax),
+		models:  dynsched.NewModelCache(),
 		queue:   make(chan *Job, cfg.QueueDepth),
 		drainCh: make(chan struct{}),
 		jobs:    map[string]*Job{},
@@ -425,10 +427,14 @@ func (s *Server) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 			return []dynsched.SimObserver{engine}
 		},
 		Compiled: func(u dynsched.PlanUnit) *dynsched.CompiledScenario {
-			if u.Index == 0 {
-				return compiled // the submit-time compilation; nil after a cache hit is fine
+			if u.Index == 0 && compiled != nil {
+				return compiled // the submit-time compilation
 			}
-			return nil
+			c, err := s.models.Compile(u.Scenario)
+			if err != nil {
+				return nil // Execute compiles afresh and reports the error
+			}
+			return c
 		},
 		Store: func(u dynsched.PlanUnit, res *dynsched.SimResult) {
 			data, err := json.Marshal(res)
@@ -584,11 +590,14 @@ func viewUnits(p *dynsched.Plan) int {
 // document from the result cache when the identical job already ran
 // (unless noCache — then every unit simulates afresh too). Per-unit
 // cache consultation happens in the worker; a plan-level miss with
-// full per-unit hits still runs zero simulations. compiled, when
-// non-nil, is unit 0's submit-time compilation, handed to the worker
-// so it is not redone. It returns the job and whether it was served
-// from cache; errQueueFull when the queue is at capacity.
-func (s *Server) submitPlan(p *dynsched.Plan, compiled *dynsched.CompiledScenario, noCache bool) (*Job, bool, error) {
+// full per-unit hits still runs zero simulations. Only a submission
+// that will run compiles: its first unit, through the model cache, so
+// an unbuildable spec fails here as a *specError rather than in the
+// worker (units differ only in resolved parameter values, so the first
+// stands in for all). That compilation rides along to the worker as
+// unit 0's. It returns the job and whether it was served from cache;
+// errQueueFull when the queue is at capacity.
+func (s *Server) submitPlan(p *dynsched.Plan, noCache bool) (*Job, bool, error) {
 	// A single run's document is the bare SimResult, cached under its
 	// scenario hash; every other plan's is the PlanResult, cached under
 	// the plan hash.
@@ -610,6 +619,10 @@ func (s *Server) submitPlan(p *dynsched.Plan, compiled *dynsched.CompiledScenari
 			s.markFinished(StateDone)
 			return j, true, nil
 		}
+	}
+	compiled, err := s.models.Compile(p.Units[0].Scenario)
+	if err != nil {
+		return nil, false, &specError{err}
 	}
 	if s.isDraining() {
 		return nil, false, errQueueFull
@@ -640,6 +653,11 @@ func (s *Server) isDraining() bool {
 }
 
 var errQueueFull = errors.New("job queue is full")
+
+// specError is a submission whose first unit does not compile.
+type specError struct{ err error }
+
+func (e *specError) Error() string { return e.err.Error() }
 
 func (s *Server) allocID() string {
 	s.mu.Lock()

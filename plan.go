@@ -307,11 +307,13 @@ type ExecOptions struct {
 	// ok = true serves the unit from the returned result. It is called
 	// serially in unit order — this is the per-unit cache hook.
 	Lookup func(u PlanUnit) (*SimResult, bool)
-	// Compiled, when set, may supply a pre-built compilation for a unit
-	// (nil = compile fresh). It lets a caller that compiled a unit
-	// eagerly — dynschedd validates submissions that way — hand the
-	// work to the plan instead of redoing it. Each unit consults the
-	// hook once, from its pool worker.
+	// Compiled, when set, may supply a unit's compilation (nil = compile
+	// fresh with Scenario.Compile). The compilation must be the unit's
+	// alone: the unit appends its observers to it. A ModelCache.Compile
+	// result qualifies, since only its network is shared. dynschedd
+	// hands over the compilation it made at submit for unit 0 and
+	// compiles every other unit through its ModelCache. Each unit
+	// consults the hook once, from its pool worker.
 	Compiled func(u PlanUnit) *CompiledScenario
 	// Store, when set, receives every freshly-computed unit result (not
 	// cache hits). It is called from pool workers and must be safe for

@@ -135,8 +135,9 @@ type SimSpec struct {
 	// value, and it is excluded from Hash.
 	Parallel int `json:"parallel,omitempty"`
 	// ResolveParallelism sets the intra-slot interference-resolution
-	// worker count (0 = model default, 1 = serial, n = n workers), which
-	// also sizes SINR model construction. Like Parallel it is an
+	// worker count (0 = model default, 1 = serial, n = n workers; SINR
+	// models reject a negative count), which also sizes SINR model
+	// construction. Like Parallel it is an
 	// execution knob, not part of the experiment:
 	// per-link interference sums keep their exact serial accumulation
 	// order at any worker count, so results are bit-identical for every
@@ -383,6 +384,14 @@ func (s Scenario) Validate() error {
 	default:
 		return fmt.Errorf("dynsched: scenario %q: unknown traffic pattern %q", s.Name, s.Traffic.Pattern)
 	}
+	switch s.Model.Kind {
+	case "sinr-linear", "sinr-uniform", "sinr-power-control":
+		// SINR models bake the worker count into their resolvers;
+		// every other model reads "<1" as GOMAXPROCS.
+		if s.Sim.ResolveParallelism < 0 {
+			return fmt.Errorf("dynsched: scenario %q: sim resolveParallelism %d is negative (0 = GOMAXPROCS)", s.Name, s.Sim.ResolveParallelism)
+		}
+	}
 	switch s.Model.Backing {
 	case "", "auto", "dense", "csr", "indexed":
 	default:
@@ -531,7 +540,8 @@ type CompiledScenario struct {
 
 // Compile validates the scenario and builds its components. Each call
 // builds fresh instances, so two compilations never share mutable
-// state.
+// state (ModelCache.Compile is the variant that shares the network and
+// model between compilations).
 func (s Scenario) Compile() (*CompiledScenario, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -540,6 +550,12 @@ func (s Scenario) Compile() (*CompiledScenario, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dynsched: scenario %q: %w", s.Name, err)
 	}
+	return s.compiled(w), nil
+}
+
+// compiled wraps a built workload as the scenario's compilation, with
+// fresh observers from the scenario's factories.
+func (s Scenario) compiled(w *cli.Workload) *CompiledScenario {
 	obs := make([]SimObserver, 0, len(s.Observers))
 	for _, f := range s.Observers {
 		obs = append(obs, f())
@@ -562,7 +578,7 @@ func (s Scenario) Compile() (*CompiledScenario, error) {
 		Config:      s.simConfig(),
 		Observers:   obs,
 		Diagnostics: diag,
-	}, nil
+	}
 }
 
 // Run executes the compiled components once.

@@ -258,6 +258,9 @@ func TestScenarioValidation(t *testing.T) {
 		{"pattern", func(s *Scenario) { s.Traffic.Pattern = "quantum" }, "traffic pattern"},
 		{"sweep axis", func(s *Scenario) { s.Sweep = SweepSpec{Axis: "spin", Values: []float64{1}} }, "sweep axis"},
 		{"sweep empty", func(s *Scenario) { s.Sweep = SweepSpec{Axis: "lambda"} }, "no values"},
+		{"sinr resolve workers", func(s *Scenario) {
+			s.Model.Kind, s.Sim.ResolveParallelism = "sinr-uniform", -1
+		}, "resolveParallelism"},
 	}
 	for _, c := range cases {
 		s := NewScenario("valid")
@@ -266,6 +269,11 @@ func TestScenarioValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v does not mention %q", c.name, err, c.want)
 		}
+	}
+	// Non-SINR models read a negative resolve worker count as
+	// GOMAXPROCS, as before.
+	if err := NewScenario("identity-resolve", WithResolveParallelism(-1)).Validate(); err != nil {
+		t.Errorf("identity with resolveParallelism -1: %v", err)
 	}
 	// Unknown model/topology/alg surface from Compile.
 	s := NewScenario("bad-model", WithModel("tachyon"))
