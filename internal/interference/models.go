@@ -301,6 +301,13 @@ func (l *Lossy) NewResolverN(workers int) func(tx []int) []bool {
 	return func(tx []int) []bool { return l.applyLoss(inner(tx)) }
 }
 
+// NewStatsResolver implements StatsResolver: the inner model's run
+// resolver with the loss overlay on top.
+func (l *Lossy) NewStatsResolver(workers int) (func(tx []int) []bool, func() ResolveStats) {
+	inner, stats := RunResolver(l.Inner, workers)
+	return func(tx []int) []bool { return l.applyLoss(inner(tx)) }, stats
+}
+
 // ResolveStats implements ResolveStatsProvider by delegation.
 func (l *Lossy) ResolveStats() ResolveStats {
 	if sp, ok := l.Inner.(ResolveStatsProvider); ok {

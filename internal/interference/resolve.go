@@ -48,9 +48,10 @@ func ResolveFuncN(m Model, workers int) func(tx []int) []bool {
 	return ResolveFunc(m)
 }
 
-// ResolveStats is a model's cumulative slot-resolution accounting,
-// exposed for engine observability (never consulted by the resolution
-// itself).
+// ResolveStats is slot-resolution accounting, exposed for engine
+// observability (never consulted by the resolution itself): a model's
+// cumulative totals (ResolveStatsProvider) or one resolver's own
+// (StatsResolver).
 type ResolveStats struct {
 	// Workers is the intra-slot worker count the model's default
 	// resolver uses (1 = serial). Large slots shard across this many
@@ -69,6 +70,32 @@ type ResolveStats struct {
 // resolver activity. Safe for concurrent use.
 type ResolveStatsProvider interface {
 	ResolveStats() ResolveStats
+}
+
+// StatsResolver is implemented by models whose resolvers account their
+// own work. NewStatsResolver returns the resolver ResolveFuncN(m,
+// workers) would, together with a function reporting that resolver's
+// ResolveStats alone — so runs that share one model each read only
+// their own slots' grid work. The stats function must be called from
+// the resolver's goroutine.
+type StatsResolver interface {
+	NewStatsResolver(workers int) (resolve func(tx []int) []bool, stats func() ResolveStats)
+}
+
+// RunResolver returns a run's slot resolver, ResolveFuncN(m, workers),
+// with a function reporting its own accounting: the model's
+// StatsResolver when it has one; otherwise the worker count (the
+// requested one, or the model's default for workers = 0) and no grid
+// work.
+func RunResolver(m Model, workers int) (func(tx []int) []bool, func() ResolveStats) {
+	if sr, ok := m.(StatsResolver); ok {
+		return sr.NewStatsResolver(workers)
+	}
+	st := ResolveStats{Workers: max(workers, 1)}
+	if sp, ok := m.(ResolveStatsProvider); ok && workers < 1 {
+		st.Workers = sp.ResolveStats().Workers
+	}
+	return ResolveFuncN(m, workers), func() ResolveStats { return st }
 }
 
 // ResolverScratch is the common per-resolver buffer set for models that

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dynsched"
+	"dynsched/internal/interference"
 )
 
 // spatialScenario is a small generated SINR network on the indexed
@@ -101,11 +102,12 @@ func TestServerModelCacheSharesNetwork(t *testing.T) {
 	}
 }
 
-// TestServerModelCacheBound keeps two networks however many it has seen.
+// TestServerModelCacheBound keeps one network: only a submission on the
+// network of the one before it finds it cached.
 func TestServerModelCacheBound(t *testing.T) {
-	srv, ts := startServer(t, Config{Workers: 1, QueueDepth: 8})
-	for _, nodes := range []int{5, 6, 7} {
-		sc := lineScenario("bound", 200, 1)
+	_, ts := startServer(t, Config{Workers: 1, QueueDepth: 8})
+	for i, nodes := range []int{5, 6, 7, 7, 5} {
+		sc := lineScenario("bound", 200, int64(i+1))
 		sc.Network.Nodes = nodes
 		status, view := submitScenario(t, ts, sc)
 		if status != http.StatusAccepted {
@@ -113,11 +115,55 @@ func TestServerModelCacheBound(t *testing.T) {
 		}
 		waitForState(t, ts, view.ID, StateDone)
 	}
-	if n := srv.models.Len(); n != 2 {
-		t.Fatalf("model cache holds %d networks after 3, want 2", n)
+	if hits, misses := modelCacheCounts(t, ts); hits != 1 || misses != 4 {
+		t.Fatalf("model cache hit=%v miss=%v, want 1 and 4", hits, misses)
 	}
-	if _, misses := modelCacheCounts(t, ts); misses != 3 {
-		t.Fatalf("model cache misses %v, want 3", misses)
+}
+
+// TestServerGridCountersExactOnSharedModel runs an indexed ε > 0 sweep
+// whose units overlap on one cached model: the daemon's grid counters
+// still equal the sum of the grid work of fresh, separate runs.
+func TestServerGridCountersExactOnSharedModel(t *testing.T) {
+	_, ts := startServer(t, Config{Workers: 1, QueueDepth: 8})
+	sweep := spatialScenario("grid", 1_500, 4)
+	sweep.Sim.Parallel = 2
+	sweep.Sweep = dynsched.SweepSpec{Axis: "lambda", Values: []float64{0.02, 0.03, 0.04, 0.05}}
+
+	p, err := sweep.Plan(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want interference.ResolveStats
+	for _, u := range p.Units {
+		c, err := u.Scenario.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		st := c.Model.(interference.ResolveStatsProvider).ResolveStats()
+		want.GridRebuilds += st.GridRebuilds
+		want.GridDeltaUpdates += st.GridDeltaUpdates
+	}
+	if want.GridRebuilds == 0 || want.GridDeltaUpdates == 0 {
+		t.Fatalf("fresh runs exercised only one grid path: %+v", want)
+	}
+
+	status, view := submitScenario(t, ts, sweep)
+	if status != http.StatusAccepted {
+		t.Fatalf("submission status %d", status)
+	}
+	waitForState(t, ts, view.ID, StateDone)
+	m := scrapeMetrics(t, ts)
+	if hits, misses := m[`dynsched_model_cache_total{outcome="hit"}`], m[`dynsched_model_cache_total{outcome="miss"}`]; hits != 3 || misses != 1 {
+		t.Fatalf("model cache hit=%v miss=%v, want 3 and 1: the units did not share a model", hits, misses)
+	}
+	if got := m["dynsched_sim_grid_rebuilds_total"]; got != float64(want.GridRebuilds) {
+		t.Errorf("dynsched_sim_grid_rebuilds_total = %v, want %d", got, want.GridRebuilds)
+	}
+	if got := m["dynsched_sim_grid_delta_updates_total"]; got != float64(want.GridDeltaUpdates) {
+		t.Errorf("dynsched_sim_grid_delta_updates_total = %v, want %d", got, want.GridDeltaUpdates)
 	}
 }
 

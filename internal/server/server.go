@@ -427,15 +427,12 @@ func (s *Server) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 			return []dynsched.SimObserver{engine}
 		},
 		Compiled: func(u dynsched.PlanUnit) *dynsched.CompiledScenario {
-			if u.Index == 0 && compiled != nil {
-				return compiled // the submit-time compilation
+			if u.Index == 0 {
+				return compiled // the submit-time compilation; nil for a job recovered from the journal
 			}
-			c, err := s.models.Compile(u.Scenario)
-			if err != nil {
-				return nil // Execute compiles afresh and reports the error
-			}
-			return c
+			return nil
 		},
+		Models: s.models,
 		Store: func(u dynsched.PlanUnit, res *dynsched.SimResult) {
 			data, err := json.Marshal(res)
 			if err != nil {

@@ -57,13 +57,14 @@ type Observer interface {
 }
 
 // ResolveObserver is an optional Observer extension notified once per
-// run, before the first slot, with the interference model and the
-// requested intra-slot parallelism (Config.ResolveParallelism, 0 =
-// model default). Observers use it to surface resolver configuration
-// and cumulative resolver statistics (interference
-// ResolveStatsProvider) without touching the hot loop.
+// run, before the first slot, with a function reporting the run's own
+// slot-resolver accounting (interference.RunResolver): its intra-slot
+// worker count and the grid work of the slots resolved so far, exact
+// even when other runs share the model. Observers use it to surface
+// resolver statistics without touching the hot loop; call it from the
+// engine goroutine (OnSlot, OnEnd).
 type ResolveObserver interface {
-	OnResolve(model interference.Model, requested int)
+	OnResolve(stats func() interference.ResolveStats)
 }
 
 // BaseObserver is a no-op Observer for embedding, so custom observers

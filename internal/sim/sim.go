@@ -222,10 +222,10 @@ func Run(ctx context.Context, cfg Config, model interference.Model, proc inject.
 	// Per-run slot resolver and link buffer: models that support it
 	// resolve slots allocation-free (sharded across intra-slot workers
 	// when requested), and the link vector is reused.
-	resolve := interference.ResolveFuncN(model, cfg.ResolveParallelism)
+	resolve, resolveStats := interference.RunResolver(model, cfg.ResolveParallelism)
 	for _, o := range obs {
 		if ro, ok := o.(ResolveObserver); ok {
-			ro.OnResolve(model, cfg.ResolveParallelism)
+			ro.OnResolve(resolveStats)
 		}
 	}
 	var links []int

@@ -86,12 +86,10 @@ type MetricsObserver struct {
 	armed     bool
 	start     time.Time
 
-	// Resolver accounting: the model's cumulative grid counters at run
-	// start, so OnEnd adds exactly this run's contribution to the
-	// shared counters.
-	statsProv    interference.ResolveStatsProvider
-	baseRebuilds uint64
-	baseDeltas   uint64
+	// resolveStats reports the run's own resolver accounting
+	// (ResolveObserver), so OnEnd adds exactly this run's grid work to
+	// the shared counters.
+	resolveStats func() interference.ResolveStats
 }
 
 // NewObserver returns a fresh per-run tracing observer flushing into
@@ -104,26 +102,11 @@ func (m *EngineMetrics) NewObserver(sampleEvery int64) *MetricsObserver {
 }
 
 // OnResolve implements ResolveObserver: it publishes the run's
-// intra-slot worker count to the gauge and snapshots the model's
-// cumulative grid counters so OnEnd can flush this run's delta. (When
-// several runs share one model concurrently, the attribution of grid
-// counter increments between them is approximate; the shared totals
-// stay exact.)
-func (o *MetricsObserver) OnResolve(model interference.Model, requested int) {
-	workers := 1
-	if requested > 0 {
-		workers = requested
-	}
-	if sp, ok := model.(interference.ResolveStatsProvider); ok {
-		st := sp.ResolveStats()
-		if requested == 0 {
-			workers = st.Workers
-		}
-		o.statsProv = sp
-		o.baseRebuilds = st.GridRebuilds
-		o.baseDeltas = st.GridDeltaUpdates
-	}
-	o.m.ResolveWorkers.Set(float64(workers))
+// intra-slot worker count to the gauge and keeps the run's resolver
+// accounting for OnEnd.
+func (o *MetricsObserver) OnResolve(stats func() interference.ResolveStats) {
+	o.resolveStats = stats
+	o.m.ResolveWorkers.Set(float64(stats().Workers))
 }
 
 // OnInject implements Observer.
@@ -163,15 +146,15 @@ func (o *MetricsObserver) OnSlot(t int64, v SlotView) {
 func (o *MetricsObserver) OnEnd(r *Result) {
 	o.armed = false
 	o.flush()
-	if o.statsProv != nil {
-		st := o.statsProv.ResolveStats()
-		if d := st.GridRebuilds - o.baseRebuilds; d > 0 {
-			o.m.GridRebuilds.Add(d)
+	if o.resolveStats != nil {
+		st := o.resolveStats()
+		if st.GridRebuilds > 0 {
+			o.m.GridRebuilds.Add(st.GridRebuilds)
 		}
-		if d := st.GridDeltaUpdates - o.baseDeltas; d > 0 {
-			o.m.GridDeltaUpdates.Add(d)
+		if st.GridDeltaUpdates > 0 {
+			o.m.GridDeltaUpdates.Add(st.GridDeltaUpdates)
 		}
-		o.statsProv = nil
+		o.resolveStats = nil
 	}
 }
 

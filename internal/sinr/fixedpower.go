@@ -107,6 +107,10 @@ type fpScratch struct {
 	out     []bool
 	ptotal  float64
 	wring   [][]int32
+
+	// This resolver's grid accounting (prepareGrid), read through
+	// NewStatsResolver's stats function.
+	rebuilds, deltas uint64
 }
 
 var (
@@ -115,6 +119,7 @@ var (
 	_ interference.SlotResolver         = (*FixedPower)(nil)
 	_ interference.ParallelResolver     = (*FixedPower)(nil)
 	_ interference.ResolveStatsProvider = (*FixedPower)(nil)
+	_ interference.StatsResolver        = (*FixedPower)(nil)
 	_ par.Runner                        = (*fpScratch)(nil)
 )
 
@@ -507,10 +512,12 @@ func (m *FixedPower) fillSuccessesIndexed(sc *fpScratch) {
 func (m *FixedPower) prepareGrid(sc *fpScratch) {
 	geo := geom.StableGeometry(m.sendPos, sc.sel, m.opts.CellSize)
 	if sc.grid.TryUpdate(m.sendPos, sc.sel, m.powers, geo, len(sc.sel)/2) {
+		sc.deltas++
 		m.gridDeltaUpdates.Add(1)
 		return
 	}
 	sc.grid.FillGeom(m.sendPos, sc.sel, m.powers, geo)
+	sc.rebuilds++
 	m.gridRebuilds.Add(1)
 }
 
@@ -641,17 +648,32 @@ func (m *FixedPower) NewResolver() func(tx []int) []bool {
 // NewResolverN implements interference.ParallelResolver: a resolver
 // pinned to an explicit intra-slot worker count (1 = strictly serial).
 func (m *FixedPower) NewResolverN(workers int) func(tx []int) []bool {
-	sc := m.scratch.New().(*fpScratch)
+	resolve, _ := m.newResolver(max(workers, 1))
+	return resolve
+}
+
+// NewStatsResolver implements interference.StatsResolver (workers < 1 =
+// the model's default worker count).
+func (m *FixedPower) NewStatsResolver(workers int) (func(tx []int) []bool, func() interference.ResolveStats) {
 	if workers < 1 {
-		workers = 1
+		workers = m.opts.workers(m.NumLinks())
 	}
+	resolve, sc := m.newResolver(workers)
+	return resolve, func() interference.ResolveStats {
+		return interference.ResolveStats{Workers: sc.workers, GridRebuilds: sc.rebuilds, GridDeltaUpdates: sc.deltas}
+	}
+}
+
+// newResolver returns a resolver on its own scratch, pinned to workers.
+func (m *FixedPower) newResolver(workers int) (func(tx []int) []bool, *fpScratch) {
+	sc := m.scratch.New().(*fpScratch)
 	sc.workers = workers
 	return func(tx []int) []bool {
 		out := sc.rs.Begin(tx)
 		m.dispatchSuccesses(sc, tx, out)
 		sc.rs.End(tx)
 		return out
-	}
+	}, sc
 }
 
 // ResolveStats implements interference.ResolveStatsProvider.

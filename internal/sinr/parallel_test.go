@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"dynsched/internal/interference"
 	"dynsched/internal/netgraph"
 )
 
@@ -179,6 +180,81 @@ func TestGridDeltaPathMatchesRebuild(t *testing.T) {
 	}
 	if fst := fresh.ResolveStats(); fst.GridDeltaUpdates != 0 {
 		t.Fatalf("fresh-resolver control unexpectedly delta-updated: stats %+v", fst)
+	}
+}
+
+// TestStatsResolverCountsItsOwnSlots pins the per-run grid accounting:
+// two resolvers interleaving slots on one model each report exactly the
+// grid work a lone resolver on a fresh model does for their slots, and
+// the model's cumulative totals are their sum.
+func TestStatsResolverCountsItsOwnSlots(t *testing.T) {
+	prm := DefaultParams()
+	rng := rand.New(rand.NewSource(217))
+	g := netgraph.RandomPairs(rng, 256, 200, 1, 4)
+	powers, err := Powers(g, prm, PowerUniform, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prm.Noise = MaxNoise(g, prm, powers, 0.5)
+	build := func() *FixedPower {
+		m, err := NewFixedPowerOpts(g, prm, powers, WeightMonotone, indexedOpts(0.05))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	// Two slot streams: a slowly evolving selection (mostly delta
+	// updates) and independent random selections (mostly rebuilds).
+	n := g.NumLinks()
+	var streams [2][][]int
+	members := map[int]bool{}
+	for _, e := range rng.Perm(n)[:128] {
+		members[e] = true
+	}
+	for slot := 0; slot < 40; slot++ {
+		for i := 0; i < 6; i++ {
+			e := rng.Intn(n)
+			members[e] = !members[e]
+		}
+		var tx []int
+		for e := 0; e < n; e++ {
+			if members[e] {
+				tx = append(tx, e)
+			}
+		}
+		streams[0] = append(streams[0], tx)
+		streams[1] = append(streams[1], rng.Perm(n)[:64+rng.Intn(64)])
+	}
+
+	shared := build()
+	var resolve [2]func([]int) []bool
+	var stats [2]func() interference.ResolveStats
+	for i := range resolve {
+		resolve[i], stats[i] = shared.NewStatsResolver(1)
+	}
+	for slot := range streams[0] {
+		for i := range resolve {
+			resolve[i](streams[i][slot])
+		}
+	}
+	var sum interference.ResolveStats
+	for i, stream := range streams {
+		solo, soloStats := build().NewStatsResolver(1)
+		for _, tx := range stream {
+			solo(tx)
+		}
+		got, want := stats[i](), soloStats()
+		if got != want {
+			t.Errorf("stream %d on a shared model: %+v, alone on a fresh one: %+v", i, got, want)
+		}
+		sum.GridRebuilds += got.GridRebuilds
+		sum.GridDeltaUpdates += got.GridDeltaUpdates
+	}
+	if sum.GridDeltaUpdates == 0 || sum.GridRebuilds == 0 {
+		t.Fatalf("streams exercised only one grid path: %+v", sum)
+	}
+	if st := shared.ResolveStats(); st.GridRebuilds != sum.GridRebuilds || st.GridDeltaUpdates != sum.GridDeltaUpdates {
+		t.Errorf("model totals %+v, want the resolvers' sum %+v", st, sum)
 	}
 }
 

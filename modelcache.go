@@ -2,18 +2,11 @@ package dynsched
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
 	"dynsched/internal/cli"
 )
-
-// modelCacheEntries bounds a ModelCache. One network covers a stream
-// of runs on a fixed topology, and a sweep over two scenarios
-// alternates two; a 10⁶-link indexed model is ~350 MB, so the bound
-// stays small and fixed.
-const modelCacheEntries = 2
 
 // ModelCache compiles scenarios like Scenario.Compile but builds each
 // network — graph, routes and interference model — at most once while
@@ -27,21 +20,26 @@ const modelCacheEntries = 2
 //
 // The shared models are immutable or keep their lazy state (the
 // analysis matrix, resolver scratch) behind sync.Once and sync.Pool, so
-// runs on one model may overlap; only observability counters that
-// accumulate on the model (grid rebuilds and delta updates) are then
-// shared between the runs. The cache is an LRU of a fixed two entries.
-// A network is built by one caller at a time — concurrent callers for
-// the same network wait for that build — and a failed build is not
-// cached. It is safe for concurrent use.
+// runs on one model may overlap; each run's resolver keeps its own
+// accounting (interference.StatsResolver).
+//
+// The cache holds one network. That serves the traffic it is for — a
+// stream of runs on one fixed network. Traffic that changes network per
+// request (a placement drawn from each request's seed, or families
+// taken in turn) misses at any small size, and a 10⁶-link indexed model
+// is ~350 MB, so there is no second entry. A network is built by one
+// caller at a time — concurrent callers for the same network wait for
+// that build — and a failed build is not cached. It is safe for
+// concurrent use.
 type ModelCache struct {
-	mu      sync.Mutex
-	entries []*modelEntry // most recently used first
+	mu   sync.Mutex
+	last *modelEntry // the cached network, or the one being built
 
 	hits, misses atomic.Uint64
 }
 
-// modelEntry is one cached network. once guards the build, so waiters
-// on an entry under construction block until it is done.
+// modelEntry is one network. once guards the build, so waiters on an
+// entry under construction block until it is done.
 type modelEntry struct {
 	key  cli.NetworkOptions
 	once sync.Once
@@ -76,51 +74,26 @@ func (c *ModelCache) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// Len reports the number of cached networks.
-func (c *ModelCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // network returns the network for key, building it on a miss.
 func (c *ModelCache) network(key cli.NetworkOptions) (*cli.Network, error) {
-	e := c.entry(key)
-	e.once.Do(func() { e.net, e.err = cli.BuildNetwork(key) })
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	e := c.last
+	if e != nil && e.key == key {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+		e = &modelEntry{key: key}
+		c.last = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.net, e.err = cli.BuildNetwork(key) })
 	if e.err != nil {
-		if i := slices.Index(c.entries, e); i >= 0 {
-			n := len(c.entries) - 1
-			copy(c.entries[i:], c.entries[i+1:])
-			c.entries[n] = nil // the backing array must not keep a network alive
-			c.entries = c.entries[:n]
+		c.mu.Lock()
+		if c.last == e {
+			c.last = nil
 		}
+		c.mu.Unlock()
 		return nil, e.err
 	}
-	// Evict only once a build has succeeded, so a failing spec never
-	// pushes a good network out.
-	for len(c.entries) > modelCacheEntries {
-		c.entries[len(c.entries)-1] = nil
-		c.entries = c.entries[:len(c.entries)-1]
-	}
 	return e.net, nil
-}
-
-// entry finds or inserts key's entry and moves it to the front.
-func (c *ModelCache) entry(key cli.NetworkOptions) *modelEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, e := range c.entries {
-		if e.key == key {
-			copy(c.entries[1:i+1], c.entries[:i])
-			c.entries[0] = e
-			c.hits.Add(1)
-			return e
-		}
-	}
-	c.misses.Add(1)
-	e := &modelEntry{key: key}
-	c.entries = append([]*modelEntry{e}, c.entries...)
-	return e
 }

@@ -81,22 +81,22 @@ func TestModelCacheSharesNetworkAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestModelCacheBoundAndFailures keeps one network, and never a failed
+// build.
 func TestModelCacheBoundAndFailures(t *testing.T) {
 	mc := NewModelCache()
-	for _, links := range []int{16, 24, 32} {
+	compile := func(links int) {
+		t.Helper()
 		if _, err := mc.Compile(NewScenario("n", WithModel("sinr-linear"), WithLinks(links), WithLambda(0.02))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := mc.Len(); n != modelCacheEntries {
-		t.Fatalf("%d entries after 3 networks, want %d", n, modelCacheEntries)
+	for _, links := range []int{16, 24, 32, 32, 16} {
+		compile(links)
 	}
-	// The least recently used network (16 links) was evicted.
-	if _, err := mc.Compile(NewScenario("n", WithModel("sinr-linear"), WithLinks(16), WithLambda(0.02))); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := mc.Stats(); hits != 0 || misses != 4 {
-		t.Errorf("stats hits=%d misses=%d, want 0 and 4", hits, misses)
+	// Only the repeated 32-link network was still cached.
+	if hits, misses := mc.Stats(); hits != 1 || misses != 4 {
+		t.Errorf("stats hits=%d misses=%d, want 1 and 4", hits, misses)
 	}
 
 	// A failed build is not cached: it fails again, built again.
@@ -106,11 +106,8 @@ func TestModelCacheBoundAndFailures(t *testing.T) {
 			t.Fatalf("unknown topology: %v", err)
 		}
 	}
-	if _, misses := mc.Stats(); misses != 6 {
-		t.Errorf("misses=%d after two failed builds, want 6", misses)
-	}
-	if n := mc.Len(); n != modelCacheEntries {
-		t.Errorf("%d entries after failed builds, want %d", n, modelCacheEntries)
+	if hits, misses := mc.Stats(); hits != 1 || misses != 6 {
+		t.Errorf("stats hits=%d misses=%d after two failed builds, want 1 and 6", hits, misses)
 	}
 }
 
@@ -141,5 +138,47 @@ func TestModelCacheConcurrentCompiles(t *testing.T) {
 	}
 	if hits, misses := mc.Stats(); hits != n-1 || misses != 1 {
 		t.Errorf("stats hits=%d misses=%d, want %d and 1", hits, misses, n-1)
+	}
+}
+
+// TestExecuteCompilesThroughModels runs a plan's units on
+// ExecOptions.Models: the document matches fresh compiles, the units
+// share one network, and a unit that fails after the network is built
+// reports its error without building the network again.
+func TestExecuteCompilesThroughModels(t *testing.T) {
+	execute := func(values []float64, mc *ModelCache) (string, error) {
+		t.Helper()
+		sc := cacheScenario("plan", 1)
+		sc.Sweep = SweepSpec{Axis: "lambda", Values: values}
+		p, err := sc.Plan(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := p.Execute(context.Background(), ExecOptions{Models: mc, Parallel: 1})
+		doc, _ := json.Marshal(pr)
+		return string(doc), err
+	}
+	mc := NewModelCache()
+	got, err := execute([]float64{0.02, 0.03}, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := execute([]float64{0.02, 0.03}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("plan on a model cache differs from fresh compiles:\n%s\n%s", got, want)
+	}
+	if hits, misses := mc.Stats(); hits != 1 || misses != 1 {
+		t.Fatalf("stats hits=%d misses=%d, want 1 and 1", hits, misses)
+	}
+
+	// λ = 50 builds the network and then fails assembling the protocol.
+	if _, err := execute([]float64{0.02, 50}, mc); err == nil || !strings.Contains(err.Error(), "diverges") {
+		t.Fatalf("diverging unit: %v", err)
+	}
+	if hits, misses := mc.Stats(); hits != 3 || misses != 1 {
+		t.Errorf("stats hits=%d misses=%d after the failing plan, want 3 and 1", hits, misses)
 	}
 }

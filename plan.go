@@ -308,13 +308,16 @@ type ExecOptions struct {
 	// serially in unit order — this is the per-unit cache hook.
 	Lookup func(u PlanUnit) (*SimResult, bool)
 	// Compiled, when set, may supply a unit's compilation (nil = compile
-	// fresh with Scenario.Compile). The compilation must be the unit's
-	// alone: the unit appends its observers to it. A ModelCache.Compile
-	// result qualifies, since only its network is shared. dynschedd
-	// hands over the compilation it made at submit for unit 0 and
-	// compiles every other unit through its ModelCache. Each unit
-	// consults the hook once, from its pool worker.
+	// it as Models says). The compilation must be the unit's alone: the
+	// unit appends its observers to it. A ModelCache.Compile result
+	// qualifies, since only its network is shared. dynschedd hands over
+	// the compilation it made at submit for unit 0. Each unit consults
+	// the hook once, from its pool worker.
 	Compiled func(u PlanUnit) *CompiledScenario
+	// Models, when set, compiles the units Compiled does not supply, so
+	// units on one network share it (nil = Scenario.Compile, a fresh
+	// network per unit). dynschedd passes its daemon-wide cache.
+	Models *ModelCache
 	// Store, when set, receives every freshly-computed unit result (not
 	// cache hits). It is called from pool workers and must be safe for
 	// concurrent use.
@@ -448,7 +451,12 @@ func (opts *ExecOptions) runUnit(ctx context.Context, pu PlanUnit) (*SimResult, 
 	}
 	if c == nil {
 		var err error
-		if c, err = pu.Scenario.Compile(); err != nil {
+		if opts.Models != nil {
+			c, err = opts.Models.Compile(pu.Scenario)
+		} else {
+			c, err = pu.Scenario.Compile()
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
