@@ -375,6 +375,60 @@ func BenchmarkCompileIndexed4k(b *testing.B) {
 
 func BenchmarkE15SpatialScale(b *testing.B) { benchExperiment(b, "E15") }
 
+// ---- Stochastic injection ----
+//
+// Step's signature predates the sampler, so the same two benches run on
+// any revision and pair the sampler against its predecessor directly.
+
+// benchStochasticStep times InjectionProcess.Step alone, one slot per
+// iteration, on the engine RNG's source. Slot numbers keep counting
+// across b.N rounds so every round sees the process's steady state.
+func benchStochasticStep(b *testing.B, proc InjectionProcess) {
+	rng := rand.New(rand.NewSource(1))
+	packets := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		packets += len(proc.Step(int64(i), rng))
+	}
+	b.ReportMetric(float64(packets)/float64(b.N), "packets/slot")
+}
+
+// BenchmarkStochasticStep16k is perfbench spatial's injection: the
+// 16384-link uniform network under indexed uniform-power SINR at
+// λ=0.04, whose 32768 single-hop generators inject about 111 packets a
+// slot. The compile sits outside the timer.
+func BenchmarkStochasticStep16k(b *testing.B) {
+	cs, err := Scenario{
+		Name: "bench-stochastic-16k",
+		Network: NetworkSpec{Topology: "generator", Links: 16384, Hops: 1,
+			Generator: &GeneratorSpec{Kind: "uniform", Seed: 42}},
+		Model:    ModelSpec{Kind: "sinr-uniform", Backing: "indexed", FarFloor: 0.02},
+		Traffic:  TrafficSpec{Pattern: "stochastic", Lambda: 0.04},
+		Protocol: ProtocolSpec{Alg: "full-parallel", Eps: 0.25},
+		Sim:      SimSpec{Slots: 300, Seed: 1},
+	}.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchStochasticStep(b, cs.Process)
+}
+
+// BenchmarkStochasticStepLine is line-stochastic's injection: two
+// generators on one 5-hop path at λ=0.4, the case where a per-slot
+// constant, not the generator count, dominates.
+func BenchmarkStochasticStepLine(b *testing.B) {
+	sc, ok := ScenarioByName("line-stochastic")
+	if !ok {
+		b.Fatal("line-stochastic not registered")
+	}
+	cs, err := sc.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchStochasticStep(b, cs.Process)
+}
+
 // ---- Scale benchmarks: the spatially-indexed SINR backing ----
 //
 // BenchmarkSlotResolve100k is part of the committed-baseline smoke set;

@@ -15,6 +15,8 @@ import (
 // These numbers change only when the protocol's logic or its use of
 // randomness changes — which should always be a conscious decision, so
 // update them deliberately when it is and investigate when it is not.
+// They are pinned at engine stream version 2 (sim.StreamVersion): a
+// change that moves them must bump it.
 func TestGoldenRun(t *testing.T) {
 	g := netgraph.LineNetwork(6, 1)
 	model := interference.Identity{Links: g.NumLinks()}
@@ -47,11 +49,11 @@ func TestGoldenRun(t *testing.T) {
 	}
 
 	// Behavioural counters are deterministic under the fixed seeds.
-	if res.Injected != 3968 {
-		t.Errorf("injected = %d (was 3968)", res.Injected)
+	if res.Injected != 3950 {
+		t.Errorf("injected = %d (was 3950)", res.Injected)
 	}
-	if res.Delivered != 3934 {
-		t.Errorf("delivered = %d (was 3934)", res.Delivered)
+	if res.Delivered != 3917 {
+		t.Errorf("delivered = %d (was 3917)", res.Delivered)
 	}
 	if res.ProtocolErrors != 0 {
 		t.Errorf("protocol errors = %d", res.ProtocolErrors)

@@ -4,8 +4,9 @@
 // simulation draws the exact packet sequence of an uninterrupted run.
 //
 // The stochastic process draws from the engine RNG (whose position the
-// engine checkpoints itself), so its only private state is the ID
-// counter. The pattern adversary is deterministic but plans a window
+// engine checkpoints itself) and restarts its geometric-skip walk every
+// slot, so no sampler position carries across slots: its only private
+// state is the ID counter. The pattern adversary is deterministic but plans a window
 // ahead; its counters and not-yet-emitted pending packets serialize in
 // full, so checkpoints need no window alignment. Traces are stateless
 // replays.

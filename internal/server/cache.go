@@ -9,21 +9,36 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
 	"dynsched/internal/metrics"
+	"dynsched/internal/sim"
 )
+
+// resultKey is the cache key of a spec or plan hash: the hash
+// namespaced by the engine's stream version. A result document is a
+// function of the spec and that version, so documents stored under an
+// older stream (a restarted daemon's spill directory, a checkpoint, a
+// fleet peer's cache) are never served for a spec the current engine
+// would simulate differently. Hashes on the API, in plans and in the
+// journal stay bare; every cache store and lookup goes through here.
+func resultKey(hash string) string {
+	return "s" + strconv.Itoa(sim.StreamVersion) + "-" + hash
+}
 
 // Cache is the content-addressed result store: marshaled result
 // documents (sim.Result for single runs and per-plan units,
-// dynsched.PlanResult for assembled plans) keyed by canonical hashes.
-// Entries live in memory up to a bounded count with FIFO eviction;
-// with a spill directory configured, every entry is also written to
-// disk gzip-compressed (<dir>/<hash>.json.gz) and evicted or
-// restarted-over entries are re-served from there. Directories written
-// by pre-compression daemons are read transparently: a plain
-// <hash>.json spill file serves exactly like a compressed one, new
+// dynsched.PlanResult for assembled plans) keyed by opaque strings, in
+// practice result keys (resultKey: canonical hashes namespaced by the
+// engine stream version). Entries live in memory up to a bounded count
+// with FIFO eviction; with a spill directory configured, every entry
+// is also written to disk gzip-compressed (<dir>/<key>.json.gz) and
+// evicted or restarted-over entries are re-served from there.
+// Directories written by pre-compression daemons are read
+// transparently: a plain <key>.json spill file serves exactly like a
+// compressed one, new
 // writes always compress. The disk tier is itself bounded by an entry
 // cap with oldest-modification-time eviction, so a long-lived daemon
 // cannot grow its spill directory without bound. Because simulations

@@ -157,22 +157,24 @@ func (s *Server) handleFleetHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleUnitGet serves the fleet-wide per-unit result cache: a runner
-// asks GET /v1/units/{hash} before executing a leased unit, and a 200
-// (the stored SimResult document, byte-exact) turns the unit into a
-// wire-level cache hit.
+// asks GET /v1/units/{key} with the unit's result key (resultKey)
+// before executing a leased unit, and a 200 (the stored SimResult
+// document, byte-exact) turns the unit into a wire-level cache hit.
+// Runners ask by the namespaced key, so peers on different engine
+// stream versions miss instead of exchanging documents.
 func (s *Server) handleUnitGet(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	hash := strings.TrimPrefix(r.URL.Path, "/v1/units/")
-	if hash == "" || strings.Contains(hash, "/") {
+	key := strings.TrimPrefix(r.URL.Path, "/v1/units/")
+	if key == "" || strings.Contains(key, "/") {
 		writeError(w, http.StatusNotFound, "unknown unit endpoint %q", r.URL.Path)
 		return
 	}
-	data, ok := s.cache.Get(hash)
+	data, ok := s.cache.Get(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no cached result for unit %s", hash)
+		writeError(w, http.StatusNotFound, "no cached result for unit %s", key)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

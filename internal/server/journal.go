@@ -190,7 +190,7 @@ func (s *Server) restoreTerminal(rj *replayedJob) {
 	j.state = rj.state
 	j.recovered = true
 	if rj.state == StateDone {
-		if data, ok := s.cache.Get(rj.hash); ok {
+		if data, ok := s.cache.Get(resultKey(rj.hash)); ok {
 			j.result = data
 		}
 	}
@@ -241,10 +241,11 @@ func jobIDNum(id string) int {
 
 // ---- Checkpoint store ----
 
-// ckptPath is the unit's checkpoint file, addressed by its spec hash:
-// a restarted daemon finds the same unit at the same path.
+// ckptPath is the unit's checkpoint file, addressed by its result key:
+// a restarted daemon finds the same unit at the same path, and never
+// resumes a checkpoint taken under another engine stream version.
 func (s *Server) ckptPath(hash string) string {
-	return filepath.Join(s.ckptDir, hash+".json")
+	return filepath.Join(s.ckptDir, resultKey(hash)+".json")
 }
 
 // saveCheckpoint atomically replaces the unit's checkpoint file.

@@ -249,7 +249,7 @@ func (r *Runner) leaseOnce(ctx context.Context) ([]api.LeasedUnit, error) {
 func (r *Runner) execute(ctx context.Context, u api.LeasedUnit) api.UnitReport {
 	rep := api.UnitReport{Lease: u.Lease, Hash: u.Hash}
 	if !u.NoCache {
-		if data, ok := r.fetchCached(ctx, u.Hash); ok {
+		if data, ok := r.fetchCached(ctx, resultKey(u.Hash)); ok {
 			rep.Result = data
 			r.pm.ObserveCached()
 			r.unitsDone.Add(1)
@@ -288,9 +288,9 @@ func (r *Runner) runUnit(ctx context.Context, u api.LeasedUnit) (*dynsched.SimRe
 }
 
 // fetchCached asks the coordinator's unit cache for an already-stored
-// result.
-func (r *Runner) fetchCached(ctx context.Context, hash string) (json.RawMessage, bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.cfg.Coordinator+"/v1/units/"+hash, nil)
+// result under key, a unit's result key.
+func (r *Runner) fetchCached(ctx context.Context, key string) (json.RawMessage, bool) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.cfg.Coordinator+"/v1/units/"+key, nil)
 	if err != nil {
 		return nil, false
 	}

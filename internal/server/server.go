@@ -2,8 +2,9 @@
 // simulation service: an HTTP/JSON API over a bounded job queue, a
 // worker pool that executes submitted Scenario specs with live
 // progress streaming, and a content-addressed result cache keyed by
-// the canonical spec hash so identical submissions are served from
-// memory (or a disk spill directory) without re-simulating.
+// the canonical spec hash (namespaced by the engine stream version) so
+// identical submissions are served from memory (or a disk spill
+// directory) without re-simulating.
 //
 // Every job is an execution plan (dynsched.Plan): a single run is a
 // 1-unit plan. Each fresh unit is parked in one lease table
@@ -382,7 +383,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		s.markFinished(StateFailed)
 		return
 	}
-	s.cache.Put(j.Hash, data)
+	s.cache.Put(resultKey(j.Hash), data)
 
 	j.mu.Lock()
 	j.state = StateDone
@@ -438,7 +439,7 @@ func (s *Server) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 			if err != nil {
 				return
 			}
-			s.cache.Put(u.Hash, data)
+			s.cache.Put(resultKey(u.Hash), data)
 			if single {
 				doc = data // the job's document too: one copy, shared with the cache
 			}
@@ -459,7 +460,7 @@ func (s *Server) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 	}
 	if !j.noCache && !single { // a single run's unit is the job itself, looked up at submit
 		opts.Lookup = func(u dynsched.PlanUnit) (*dynsched.SimResult, bool) {
-			data, ok := s.cache.Get(u.Hash)
+			data, ok := s.cache.Get(resultKey(u.Hash))
 			if !ok {
 				return nil, false
 			}
@@ -604,7 +605,7 @@ func (s *Server) submitPlan(p *dynsched.Plan, noCache bool) (*Job, bool, error) 
 	}
 	n := viewUnits(p)
 	if !noCache {
-		if data, ok := s.cache.Get(hash); ok {
+		if data, ok := s.cache.Get(resultKey(hash)); ok {
 			j := newJob(s.allocID(), hash, p.Source)
 			j.state = StateDone
 			j.cached = true

@@ -416,7 +416,7 @@ func TestCacheDiskSpill(t *testing.T) {
 	b := lineScenario("spill-b", 2_000, 2)
 	_, jobA := submitScenario(t, ts, a)
 	waitForState(t, ts, jobA.ID, StateDone)
-	if _, err := os.Stat(filepath.Join(dir, a.Hash()+".json.gz")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, resultKey(a.Hash())+".json.gz")); err != nil {
 		t.Fatalf("result not spilled to disk: %v", err)
 	}
 
@@ -450,6 +450,45 @@ func TestCacheRestart(t *testing.T) {
 	status, view := submitScenario(t, ts2, sc)
 	if status != http.StatusOK || !view.Cached {
 		t.Fatalf("restarted server missed the disk cache: status %d %+v", status, view)
+	}
+}
+
+// TestCacheIgnoresOtherStreamVersions seeds a spill directory with a
+// document under the bare spec hash, as a daemon on an older engine
+// stream left it: a restarted server must not serve it, and the spec
+// recomputes to the library's document.
+func TestCacheIgnoresOtherStreamVersions(t *testing.T) {
+	dir := t.TempDir()
+	sc := lineScenario("stream-version", 2_000, 5)
+	stale := []byte(`{"slots":1}`)
+	if err := os.WriteFile(filepath.Join(dir, sc.Hash()+".json"), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := sc.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv, ts := startServer(t, Config{Workers: 1, QueueDepth: 4, CacheDir: dir})
+	status, job := submitScenario(t, ts, sc)
+	if status != http.StatusAccepted || job.Cached {
+		t.Fatalf("stale document served: status %d %+v", status, job)
+	}
+	waitForState(t, ts, job.ID, StateDone)
+	j, _ := srv.job(job.ID)
+	j.mu.Lock()
+	got := append([]byte(nil), j.result...)
+	j.mu.Unlock()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("recomputed result differs from the library's:\n got %s\nwant %s", got, want)
 	}
 }
 

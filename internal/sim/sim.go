@@ -21,6 +21,16 @@ import (
 	"dynsched/internal/stats"
 )
 
+// StreamVersion numbers the engine's random stream: which draws the
+// engine, its injection processes and its protocols take from the
+// seeded RNG, and in which order. A Result is a function of the run's
+// spec and this version, so stores that key results by spec hash
+// (dynschedd's result cache) fold it into their keys. Bump it with
+// every change that alters a Result for an unchanged spec. Version 2
+// samples stochastic injection by geometric skips over probability
+// classes (version 1 drew one uniform per generator per slot).
+const StreamVersion = 2
+
 // Transmission is a protocol's request to send one packet over one link.
 type Transmission struct {
 	Link     int

@@ -28,19 +28,17 @@ func SingleHop(m interference.Model, lambda float64) (*inject.Stochastic, error)
 
 // Paths spreads the rate across the given explicit paths, splitting each
 // path's probability over enough generators that super-critical rates
-// remain expressible.
+// remain expressible. One array backs every generator's single choice.
 func Paths(m interference.Model, paths []netgraph.Path, lambda float64) (*inject.Stochastic, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("traffic: no paths")
 	}
 	perPath := int(lambda) + 2
-	gens := make([]inject.Generator, 0, len(paths)*perPath)
-	for _, p := range paths {
-		for i := 0; i < perPath; i++ {
-			gens = append(gens, inject.Generator{Choices: []inject.PathChoice{
-				{Path: p, P: 1.0 / float64(perPath+1)},
-			}})
-		}
+	gens := make([]inject.Generator, len(paths)*perPath)
+	choices := make([]inject.PathChoice, len(gens))
+	for i := range gens {
+		choices[i] = inject.PathChoice{Path: paths[i/perPath], P: 1.0 / float64(perPath+1)}
+		gens[i].Choices = choices[i : i+1 : i+1]
 	}
 	return inject.StochasticAtRate(m, gens, lambda)
 }

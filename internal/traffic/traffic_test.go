@@ -106,3 +106,25 @@ func TestWorkloadsActuallyInject(t *testing.T) {
 		t.Fatal("single-hop workload injected nothing")
 	}
 }
+
+// TestPathsAllocsPerTable pins that building the process over many
+// paths costs a fixed number of allocations, not one per generator:
+// the given generators' choices and the sampler's table are one array
+// each.
+func TestPathsAllocsPerTable(t *testing.T) {
+	const links = 16384
+	m := interference.Identity{Links: links}
+	paths := make([]netgraph.Path, links)
+	for i := range paths {
+		paths[i] = netgraph.Path{netgraph.LinkID(i)}
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Paths(m, paths, 0.04); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%v allocs", allocs)
+	if allocs > 16 {
+		t.Fatalf("Paths over %d paths: %v allocs, want at most 16", links, allocs)
+	}
+}
