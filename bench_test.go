@@ -399,6 +399,12 @@ func benchStochasticStep(b *testing.B, proc InjectionProcess) {
 // λ=0.04, whose 32768 single-hop generators inject about 111 packets a
 // slot. The compile sits outside the timer.
 func BenchmarkStochasticStep16k(b *testing.B) {
+	benchStochasticStep(b, compileSpatial16k(b).Process)
+}
+
+// compileSpatial16k compiles perfbench spatial's scenario.
+func compileSpatial16k(b *testing.B) *CompiledScenario {
+	b.Helper()
 	cs, err := Scenario{
 		Name: "bench-stochastic-16k",
 		Network: NetworkSpec{Topology: "generator", Links: 16384, Hops: 1,
@@ -411,7 +417,74 @@ func BenchmarkStochasticStep16k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchStochasticStep(b, cs.Process)
+	return cs
+}
+
+// BenchmarkSlotResolveSpatial16k is perfbench spatial's active slots:
+// the first frame of a seed-1 run of its scenario that transmits at all
+// (five slots, about 1700, 180, 60, 40 and 40 transmissions: 400 per
+// active slot on average), re-resolved in order by one serial resolver
+// on the 16384-link uniform network's indexed backing (ε=0.02). One op
+// is the frame. The run that captures it sits outside the timer.
+// successes/frame is the verdict count, equal on any revision that
+// keeps the resolver's results.
+func BenchmarkSlotResolveSpatial16k(b *testing.B) {
+	cs := compileSpatial16k(b)
+	m, ok := cs.Model.(interference.ParallelResolver)
+	if !ok {
+		b.Fatalf("model %T has no pinned-worker resolver", cs.Model)
+	}
+	capture := &frameCapture{}
+	cs.Observers = append(cs.Observers, capture)
+	if _, err := cs.Run(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	if len(capture.slots) == 0 {
+		b.Fatal("no slot transmitted")
+	}
+	resolve := m.NewResolverN(1)
+	tx := 0
+	for _, slot := range capture.slots {
+		resolve(slot) // warm the resolver's scratch and grid
+		tx += len(slot)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	successes := 0
+	for i := 0; i < b.N; i++ {
+		for _, slot := range capture.slots {
+			for _, ok := range resolve(slot) {
+				if ok {
+					successes++
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(tx)/float64(len(capture.slots)), "tx/slot")
+	b.ReportMetric(float64(successes)/float64(b.N), "successes/frame")
+}
+
+// frameCapture keeps the transmitting links of each slot of the first
+// run of consecutive transmitting slots.
+type frameCapture struct {
+	BaseObserver
+	slots [][]int
+	done  bool
+}
+
+func (c *frameCapture) OnSlot(_ int64, v SlotView) {
+	if c.done {
+		return
+	}
+	if len(v.Tx) == 0 {
+		c.done = len(c.slots) > 0
+		return
+	}
+	links := make([]int, len(v.Tx))
+	for i, t := range v.Tx {
+		links[i] = t.Link
+	}
+	c.slots = append(c.slots, links)
 }
 
 // BenchmarkStochasticStepLine is line-stochastic's injection: two

@@ -325,6 +325,23 @@ func (g *GridIndex) OuterDist(p Point, cx, cy, r int) (float64, bool) {
 	return d, true
 }
 
+// OuterDistFloor lowers an OuterDist result od for p by the rounding
+// od carries, so that it holds for computed values: no point bucketed
+// in a cell outside the square has a computed p.Dist below the result,
+// and no such cell a computed CellMinDistSq below its square. Cell
+// assignment (⌊(x−minX)/cell⌋) and cell edges (minX + k·cell) round in
+// absolute terms — a point can sit a few ulps of the coordinates'
+// magnitude on the wrong side of the edge OuterDist measured to — so
+// far from the origin the allowance is absolute, not relative to od.
+// The relative part covers the subtraction behind od and the rounding
+// of Dist (math.Hypot) and CellMinDistSq. A result ≤ 0 certifies
+// nothing.
+func (g *GridIndex) OuterDistFloor(p Point, od float64) float64 {
+	scale := math.Abs(p.X) + math.Abs(p.Y) + math.Abs(g.minX) + math.Abs(g.minY) +
+		float64(g.cols+g.rows+2)*g.cell
+	return od*(1-0x1p-50) - 0x1p-48*scale
+}
+
 // MaxRing returns the largest ring radius around (cx, cy) that still
 // touches the grid; rings beyond it are empty.
 func (g *GridIndex) MaxRing(cx, cy int) int {

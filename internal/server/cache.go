@@ -32,24 +32,33 @@ func resultKey(hash string) string {
 // documents (sim.Result for single runs and per-plan units,
 // dynsched.PlanResult for assembled plans) keyed by opaque strings, in
 // practice result keys (resultKey: canonical hashes namespaced by the
-// engine stream version). Entries live in memory up to a bounded count
-// with FIFO eviction; with a spill directory configured, every entry
-// is also written to disk gzip-compressed (<dir>/<key>.json.gz) and
-// evicted or restarted-over entries are re-served from there.
-// Directories written by pre-compression daemons are read
+// engine stream version). Every document is stored compressed: Put
+// gzips it once (BestSpeed) and that one copy is what the memory tier
+// holds, what the job that produced it holds, and what the spill tier
+// writes (<dir>/<key>.json.gz), so documents are inflated only when
+// served or parsed. Entries live in memory up to a bounded count with
+// FIFO eviction; with a spill directory configured, every entry is also
+// written to disk and evicted or restarted-over entries are re-served
+// from there. Directories written by pre-compression daemons are read
 // transparently: a plain <key>.json spill file serves exactly like a
-// compressed one, new
-// writes always compress. The disk tier is itself bounded by an entry
-// cap with oldest-modification-time eviction, so a long-lived daemon
-// cannot grow its spill directory without bound. Because simulations
-// are deterministic in their spec (seed included), a cached document
-// is bit-identical to what a fresh run of the same spec would produce.
+// compressed one. The disk tier is itself bounded by an entry cap with
+// oldest-modification-time eviction, so a long-lived daemon cannot grow
+// its spill directory without bound. Because simulations are
+// deterministic in their spec (seed included), a cached document is
+// bit-identical to what a fresh run of the same spec would produce.
 type Cache struct {
 	mu      sync.Mutex
 	max     int
 	dir     string
-	entries map[string][]byte
-	order   []string // insertion order for FIFO eviction
+	entries map[string][]byte // key → stored (gzip) document
+	order   []string          // insertion order for FIFO eviction
+
+	// The compressor: one gzip writer and its output buffer, created on
+	// first use and reused under zmu. (A sync.Pool of writers would keep
+	// a 1.2 MB writer alive per concurrent compression.)
+	zmu  sync.Mutex
+	zw   *gzip.Writer
+	zbuf bytes.Buffer
 
 	diskMu  sync.Mutex
 	diskMax int
@@ -160,9 +169,9 @@ func NewCache(max int, dir string, diskMax int) *Cache {
 }
 
 // gzipRawSize recovers the decompressed size of a gzip spill file from
-// its ISIZE trailer (the last four bytes, little-endian) without
-// reading the whole file. size is the on-disk size; malformed or
-// truncated files report 0 and fail later at read time.
+// its ISIZE trailer without reading the whole file. size is the on-disk
+// size; malformed or truncated files report 0 and fail later at read
+// time.
 func gzipRawSize(path string, size int64) int64 {
 	if size < 4 {
 		return 0
@@ -176,7 +185,54 @@ func gzipRawSize(path string, size int64) int64 {
 	if _, err := f.ReadAt(trailer[:], size-4); err != nil {
 		return 0
 	}
-	return int64(binary.LittleEndian.Uint32(trailer[:]))
+	return gzipISize(trailer[:])
+}
+
+// gzipISize reads the ISIZE trailer of a gzip stream — the last four
+// bytes, little-endian: the decompressed size modulo 2³².
+func gzipISize(gz []byte) int64 {
+	if len(gz) < 4 {
+		return 0
+	}
+	return int64(binary.LittleEndian.Uint32(gz[len(gz)-4:]))
+}
+
+// Compress returns doc gzip-compressed at BestSpeed, the form every
+// tier stores. The writer is the cache's one, serialized under zmu; the
+// result is a fresh, exactly sized slice.
+func (c *Cache) Compress(doc []byte) []byte {
+	c.zmu.Lock()
+	defer c.zmu.Unlock()
+	c.zbuf.Reset()
+	if c.zw == nil {
+		c.zw, _ = gzip.NewWriterLevel(&c.zbuf, gzip.BestSpeed)
+	} else {
+		c.zw.Reset(&c.zbuf)
+	}
+	// Writes into a bytes.Buffer cannot fail.
+	_, _ = c.zw.Write(doc)
+	_ = c.zw.Close()
+	return bytes.Clone(c.zbuf.Bytes())
+}
+
+// inflate returns the document a stored gzip copy holds.
+func inflate(gz []byte) ([]byte, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(gz))
+	if err != nil {
+		return nil, err
+	}
+	// ISIZE sizes the buffer (deflate expands at most ~1032:1, which
+	// bounds a corrupt trailer's claim); the MinRead slack lets the
+	// final EOF read land without regrowing.
+	size := min(gzipISize(gz), int64(len(gz))*1032)
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	if _, err := buf.ReadFrom(zr); err != nil {
+		return nil, err
+	}
+	if err := zr.Close(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // addDiskLocked records one spill file. Used without the lock only
@@ -207,64 +263,88 @@ func (c *Cache) entryPath(hash string, e diskEntry) string {
 	return c.path(hash)
 }
 
-// Get returns the cached document for hash. Memory is consulted first,
-// then the spill directory; a disk hit is promoted back into memory.
+// Get returns the cached document for hash, inflated: the form a
+// caller parses. Memory is consulted first, then the spill directory; a
+// disk hit is promoted back into memory.
 func (c *Cache) Get(hash string) ([]byte, bool) {
+	gz, ok := c.Stored(hash)
+	if !ok {
+		return nil, false
+	}
+	doc, err := inflate(gz)
+	if err != nil {
+		return nil, false
+	}
+	return doc, true
+}
+
+// Stored returns the stored (gzip) copy of hash's document, without
+// inflating it: what a job holds and what the wire can carry as is.
+// Lookup order and promotion are Get's.
+func (c *Cache) Stored(hash string) ([]byte, bool) {
 	c.mu.Lock()
-	if data, ok := c.entries[hash]; ok {
+	if gz, ok := c.entries[hash]; ok {
 		c.mu.Unlock()
 		c.m.hitMemory()
-		return data, true
+		return gz, true
 	}
 	c.mu.Unlock()
 	if c.dir == "" {
 		c.m.miss()
 		return nil, false
 	}
-	data, ok := c.readDisk(hash)
+	gz, ok := c.readDisk(hash)
 	if !ok {
 		c.m.miss()
 		return nil, false
 	}
 	c.m.hitDisk()
-	c.put(hash, data, false)
-	return data, true
+	c.put(hash, gz, false)
+	return gz, true
 }
 
-// readDisk loads one spill file, decompressing the gzip format and
-// falling back to a legacy plain file, whatever the bookkeeping says —
-// a racing eviction or an external cleanup must read as a miss, not an
-// error.
+// readDisk loads one spill file as a stored copy: a gzip file as is,
+// once its checksum has been verified, a legacy plain file compressed.
+// Whatever the bookkeeping says, a racing eviction, an external cleanup
+// or a corrupt file reads as a miss, not an error.
 func (c *Cache) readDisk(hash string) ([]byte, bool) {
-	if raw, err := os.ReadFile(c.gzPath(hash)); err == nil {
-		zr, err := gzip.NewReader(bytes.NewReader(raw))
+	if gz, err := os.ReadFile(c.gzPath(hash)); err == nil {
+		zr, err := gzip.NewReader(bytes.NewReader(gz))
 		if err != nil {
 			return nil, false
 		}
-		data, err := io.ReadAll(zr)
-		if err != nil || zr.Close() != nil {
+		if _, err := io.Copy(io.Discard, zr); err != nil || zr.Close() != nil {
 			return nil, false
 		}
-		return data, true
+		return gz, true
 	}
-	data, err := os.ReadFile(c.path(hash))
+	doc, err := os.ReadFile(c.path(hash))
 	if err != nil {
 		return nil, false
 	}
-	return data, true
+	return c.Compress(doc), true
 }
 
-// Put stores the document for hash in memory and, when configured, on
-// disk. Disk writes are best-effort: a full or read-only spill
-// directory degrades the cache, it does not fail the job.
-func (c *Cache) Put(hash string, data []byte) {
-	c.put(hash, data, true)
+// Put compresses doc and stores it under hash in memory and, when
+// configured, on disk, returning the stored copy. Disk writes are
+// best-effort: a full or read-only spill directory degrades the cache,
+// it does not fail the job.
+func (c *Cache) Put(hash string, doc []byte) []byte {
+	gz := c.Compress(doc)
+	c.put(hash, gz, true)
+	return gz
 }
 
-func (c *Cache) put(hash string, data []byte, spill bool) {
+// PutStored stores an already-compressed copy (from Put or Compress)
+// under hash, like Put.
+func (c *Cache) PutStored(hash string, gz []byte) {
+	c.put(hash, gz, true)
+}
+
+func (c *Cache) put(hash string, gz []byte, spill bool) {
 	c.mu.Lock()
 	if _, dup := c.entries[hash]; !dup && c.max > 0 {
-		c.entries[hash] = data
+		c.entries[hash] = gz
 		c.order = append(c.order, hash)
 		for len(c.order) > c.max {
 			delete(c.entries, c.order[0])
@@ -279,25 +359,17 @@ func (c *Cache) put(hash string, data []byte, spill bool) {
 		c.diskMu.Unlock()
 		if exists {
 			// Content-addressed: an existing spill file already holds
-			// these exact bytes (in either format).
-			return
-		}
-		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write(data); err != nil {
-			return
-		}
-		if err := zw.Close(); err != nil {
+			// this document (in either format).
 			return
 		}
 		// Write-then-rename so a crashed daemon never leaves a torn
 		// document a restart would serve.
 		tmp := c.gzPath(hash) + ".tmp"
-		if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err == nil {
+		if err := os.WriteFile(tmp, gz, 0o644); err == nil {
 			if err := os.Rename(tmp, c.gzPath(hash)); err == nil {
 				c.diskMu.Lock()
 				if _, ok := c.disk[hash]; !ok {
-					c.addDiskLocked(hash, diskEntry{gz: true, raw: int64(len(data)), comp: int64(buf.Len())})
+					c.addDiskLocked(hash, diskEntry{gz: true, raw: gzipISize(gz), comp: int64(len(gz))})
 					c.evictDiskLocked()
 				}
 				c.diskMu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -194,4 +195,95 @@ func TestCacheGzipSpillAndLegacyRead(t *testing.T) {
 	if data, ok := c2.Get("old"); !ok || string(data) != string(legacy) {
 		t.Fatal("legacy entry unreadable after restart")
 	}
+}
+
+// TestCacheStoresCompressedCopy pins the stored form: Put returns the
+// gzip copy it stores, the memory tier holds exactly that copy, the
+// spill file holds the same bytes, Get inflates it back to the
+// document, and the disk-bytes gauges still count the document's size
+// (raw) and the file's (compressed).
+func TestCacheStoresCompressedCopy(t *testing.T) {
+	dir := t.TempDir()
+	c := NewCache(4, dir, 0)
+	doc := bytes.Repeat([]byte(`{"slot":12345,"ok":true}`), 200)
+	gz := c.Put("k", doc)
+	if len(gz) < 2 || gz[0] != 0x1f || gz[1] != 0x8b {
+		t.Fatalf("Put returned %d bytes without the gzip magic", len(gz))
+	}
+	if mem := c.entries["k"]; !bytes.Equal(mem, gz) {
+		t.Fatal("memory tier does not hold the stored gzip copy")
+	}
+	file, err := os.ReadFile(filepath.Join(dir, "k.json.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file, gz) {
+		t.Fatal("spill file differs from the memory tier's bytes")
+	}
+	if stored, ok := c.Stored("k"); !ok || !bytes.Equal(stored, gz) {
+		t.Fatal("Stored does not return the stored copy")
+	}
+	if got, ok := c.Get("k"); !ok || !bytes.Equal(got, doc) {
+		t.Fatal("Get does not inflate the stored copy to the document")
+	}
+	if raw, comp := c.DiskBytes(); raw != int64(len(doc)) || comp != int64(len(file)) {
+		t.Fatalf("disk gauges raw=%d comp=%d, want %d/%d", raw, comp, len(doc), len(file))
+	}
+	// A restart serves the spill file's bytes unchanged.
+	c2 := NewCache(4, dir, 0)
+	if stored, ok := c2.Stored("k"); !ok || !bytes.Equal(stored, gz) {
+		t.Fatal("restarted cache does not serve the spilled copy as stored")
+	}
+}
+
+// TestCacheLegacySpillServesCompressed: a plain .json spill file from a
+// pre-compression daemon is served through both accessors — Stored
+// compresses it, Get returns it verbatim — and a corrupt gzip spill
+// file reads as a miss.
+func TestCacheLegacySpillServesCompressed(t *testing.T) {
+	dir := t.TempDir()
+	legacy := []byte(`{"legacy":true}`)
+	if err := os.WriteFile(filepath.Join(dir, "old.json"), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "bad.json.gz"), []byte("\x1f\x8bnot gzip"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(4, dir, 0)
+	gz, ok := c.Stored("old")
+	if !ok {
+		t.Fatal("legacy entry not served")
+	}
+	if doc, err := inflate(gz); err != nil || !bytes.Equal(doc, legacy) {
+		t.Fatalf("legacy entry stored as %q (%v), want %q", doc, err, legacy)
+	}
+	if doc, ok := c.Get("old"); !ok || !bytes.Equal(doc, legacy) {
+		t.Fatalf("legacy entry read back as %q", doc)
+	}
+	if _, ok := c.Get("bad"); ok {
+		t.Fatal("corrupt gzip spill file served")
+	}
+}
+
+// TestCacheConcurrentCompress: goroutines storing and reading distinct
+// documents at once share the one compressor; every document must
+// round-trip intact (and, under -race, without a data race).
+func TestCacheConcurrentCompress(t *testing.T) {
+	c := NewCache(64, t.TempDir(), 0)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				key := fmt.Sprintf("g%d-%d", g, i)
+				doc := bytes.Repeat([]byte(key+","), 100+g*i)
+				c.Put(key, doc)
+				if got, ok := c.Get(key); !ok || !bytes.Equal(got, doc) {
+					t.Errorf("%s did not round-trip", key)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -172,12 +172,22 @@ func (s *Server) handleUnitGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown unit endpoint %q", r.URL.Path)
 		return
 	}
-	data, ok := s.cache.Get(key)
+	gz, ok := s.cache.Stored(key)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no cached result for unit %s", key)
 		return
 	}
+	// A client that takes gzip gets the stored copy as is.
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
+	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+		w.Header().Set("Content-Encoding", "gzip")
+		_, _ = w.Write(gz)
+		return
+	}
+	doc, err := inflate(gz)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "unit %s: %v", key, err)
+		return
+	}
+	_, _ = w.Write(doc)
 }

@@ -161,9 +161,7 @@ func TestFleetExpiredLeaseRunsLocally(t *testing.T) {
 
 	waitForState(t, ts, job.ID, StateDone)
 	j, _ := srv.job(job.ID)
-	j.mu.Lock()
-	got := append([]byte(nil), j.result...)
-	j.mu.Unlock()
+	got := jobResult(t, j)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("plan document diverges from the library run:\n got %.200s\nwant %.200s", got, want)
 	}
@@ -207,9 +205,7 @@ func TestFleetSingleRunDispatchOnly(t *testing.T) {
 		t.Fatalf("single-run view %+v, want the scenario hash and no unit counters", view)
 	}
 	j, _ := srv.job(job.ID)
-	j.mu.Lock()
-	got := append([]byte(nil), j.result...)
-	j.mu.Unlock()
+	got := jobResult(t, j)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("remote single run diverges:\n got %s\nwant %s", got, want)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -126,7 +127,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if cached {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, j.View(false))
+	writeJSON(w, status, j.View())
 }
 
 // handleJob routes /v1/jobs/{id} and /v1/jobs/{id}/events.
@@ -140,7 +141,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case sub == "" && r.Method == http.MethodGet:
-		writeJSON(w, http.StatusOK, j.View(true))
+		writeJobResult(w, j)
 	case sub == "" && r.Method == http.MethodDelete:
 		if _, cancelledNow := j.requestCancel(); cancelledNow {
 			// The queued job went terminal right here; journal it (a
@@ -148,7 +149,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			s.journalFinish(j, StateCancelled)
 			s.markFinished(StateCancelled)
 		}
-		writeJSON(w, http.StatusOK, j.View(false))
+		writeJSON(w, http.StatusOK, j.View())
 	case sub == "events" && r.Method == http.MethodGet:
 		s.streamEvents(w, r, j)
 	default:
@@ -256,6 +257,33 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// writeJobResult writes GET /v1/jobs/{id}: the job view indented like
+// every other response, with a done job's result document spliced in as
+// the last member ("result", JobView's last field) — inflated from its
+// stored copy straight into the response, never re-encoded.
+func writeJobResult(w http.ResponseWriter, j *Job) {
+	v, gz := j.snapshot()
+	if gz == nil {
+		writeJSON(w, http.StatusOK, v)
+		return
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(gz))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "job %s result: %v", j.ID, err)
+		return
+	}
+	var head bytes.Buffer
+	enc := json.NewEncoder(&head)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(bytes.TrimSuffix(head.Bytes(), []byte("\n}\n")))
+	_, _ = io.WriteString(w, ",\n  \"result\": ")
+	_, _ = io.Copy(w, zr)
+	_, _ = io.WriteString(w, "\n}\n")
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {

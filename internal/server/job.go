@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"sync"
 
 	"dynsched"
@@ -49,7 +48,7 @@ type Job struct {
 	state  State
 	cached bool
 	errMsg string
-	result []byte
+	result []byte // the stored (gzip) result document, shared with the cache
 	events []Event
 	// cancelRequested makes requestCancel idempotent: only the first
 	// DELETE reports having changed anything.
@@ -121,9 +120,15 @@ func (j *Job) currentState() State {
 	return j.state
 }
 
-// View snapshots the job for the API. Result bytes are included only
-// for done jobs and only when withResult is set.
-func (j *Job) View(withResult bool) JobView {
+// View snapshots the job for the API, without its result document.
+func (j *Job) View() JobView {
+	v, _ := j.snapshot()
+	return v
+}
+
+// snapshot is View plus, for a done job, its stored (gzip) result
+// document.
+func (j *Job) snapshot() (JobView, []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := JobView{
@@ -141,10 +146,10 @@ func (j *Job) View(withResult bool) JobView {
 		Events:          len(j.events),
 		EventsDropped:   j.eventsDropped,
 	}
-	if withResult && j.state == StateDone {
-		v.Result = json.RawMessage(j.result)
+	if j.state != StateDone {
+		return v, nil
 	}
-	return v
+	return v, j.result
 }
 
 // event blocks until the job's i-th event exists and returns it. It

@@ -190,8 +190,8 @@ func (s *Server) restoreTerminal(rj *replayedJob) {
 	j.state = rj.state
 	j.recovered = true
 	if rj.state == StateDone {
-		if data, ok := s.cache.Get(resultKey(rj.hash)); ok {
-			j.result = data
+		if gz, ok := s.cache.Stored(resultKey(rj.hash)); ok {
+			j.result = gz
 		}
 	}
 	s.register(j)

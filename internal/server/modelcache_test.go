@@ -79,9 +79,7 @@ func TestServerModelCacheSharesNetwork(t *testing.T) {
 	for name, id := range ids {
 		waitForState(t, ts, id, StateDone)
 		j, _ := srv.job(id)
-		j.mu.Lock()
-		got := j.result
-		j.mu.Unlock()
+		got := jobResult(t, j)
 		if !bytes.Equal(got, want[name]) {
 			t.Errorf("%s: document differs from a fresh library execution:\n%s\n%s", name, got, want[name])
 		}

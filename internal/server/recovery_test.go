@@ -119,9 +119,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 		t.Fatalf("unitsDone=%d, want 6", done.UnitsDone)
 	}
 
-	j2.mu.Lock()
-	got := append([]byte(nil), j2.result...)
-	j2.mu.Unlock()
+	got := jobResult(t, j2)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("recovered result diverges from uninterrupted run:\n got %s\nwant %s", got, want)
 	}
@@ -329,9 +327,7 @@ func TestSingleRunResumesFromCheckpoint(t *testing.T) {
 	if !ok {
 		t.Fatalf("job %s missing after completion", view.ID)
 	}
-	j.mu.Lock()
-	raw := append([]byte(nil), j.result...)
-	j.mu.Unlock()
+	raw := jobResult(t, j)
 	if !bytes.Equal(raw, want) {
 		t.Fatalf("resumed result diverges:\n got %s\nwant %s", raw, want)
 	}

@@ -358,7 +358,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		s.mu.Unlock()
 	}()
 
-	data, err := s.runPlan(jctx, j)
+	gz, err := s.runPlan(jctx, j)
 	if err != nil {
 		j.mu.Lock()
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -383,11 +383,11 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		s.markFinished(StateFailed)
 		return
 	}
-	s.cache.Put(resultKey(j.Hash), data)
+	s.cache.PutStored(resultKey(j.Hash), gz)
 
 	j.mu.Lock()
 	j.state = StateDone
-	j.result = data
+	j.result = gz
 	j.publishLocked(Event{Type: "done"})
 	j.mu.Unlock()
 	s.journalFinish(j, StateDone)
@@ -403,9 +403,10 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 // advance for every unit.
 const maxJobEvents = 512
 
-// runPlan executes a job's plan and returns its result document. Every
-// fresh unit result is stored in the content-addressed cache, and the
-// units of a multi-unit plan are looked up there before running
+// runPlan executes a job's plan and returns its result document, as the
+// stored (gzip) copy the cache and the job share. Every fresh unit
+// result is stored in the content-addressed cache, and the units of a
+// multi-unit plan are looked up there before running
 // (unless the submission asked for noCache). Every unit still to run is
 // parked in the lease table, where this job's local lessees and the
 // remote runners compete for it. A single run (kind run: one unit)
@@ -417,7 +418,7 @@ func (s *Server) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 	p, compiled := j.plan, j.compiled
 	j.plan, j.compiled = nil, nil // used once; don't retain them past the run
 	single := p.Kind == dynsched.PlanRun
-	var doc []byte // a single run's document, set by Store
+	var doc []byte // a single run's stored document, set by Store
 	opts := dynsched.ExecOptions{
 		Metrics: s.metrics.plan,
 		Observers: func(u dynsched.PlanUnit) []dynsched.SimObserver {
@@ -439,9 +440,9 @@ func (s *Server) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 			if err != nil {
 				return
 			}
-			s.cache.Put(resultKey(u.Hash), data)
+			gz := s.cache.Put(resultKey(u.Hash), data)
 			if single {
-				doc = data // the job's document too: one copy, shared with the cache
+				doc = gz // the job's document too: one stored copy, shared with the cache
 			}
 			if s.journal != nil {
 				s.journalUnit(j, u.Index, u.Hash)
@@ -514,12 +515,18 @@ func (s *Server) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 	switch {
 	case err != nil:
 		return nil, err
-	case !single:
-		return json.Marshal(pr)
-	case doc != nil:
+	case single && doc != nil:
 		return doc, nil
 	}
-	return json.Marshal(pr.Run) // Store could not marshal it: report why
+	var v any = pr
+	if single {
+		v = pr.Run // Store could not marshal it: report why
+	}
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return s.cache.Compress(raw), nil
 }
 
 // progressObserver publishes a single run's slot progress into the
@@ -605,11 +612,11 @@ func (s *Server) submitPlan(p *dynsched.Plan, noCache bool) (*Job, bool, error) 
 	}
 	n := viewUnits(p)
 	if !noCache {
-		if data, ok := s.cache.Get(resultKey(hash)); ok {
+		if gz, ok := s.cache.Stored(resultKey(hash)); ok {
 			j := newJob(s.allocID(), hash, p.Source)
 			j.state = StateDone
 			j.cached = true
-			j.result = data
+			j.result = gz
 			j.unitsTotal, j.unitsDone, j.unitsCached = n, n, n
 			j.publish(Event{Type: "done", Cached: true})
 			s.register(j)
@@ -713,7 +720,7 @@ func (s *Server) jobList() []JobView {
 	s.mu.Unlock()
 	out := make([]JobView, 0, len(jobs))
 	for _, j := range jobs {
-		out = append(out, j.View(false))
+		out = append(out, j.View())
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -101,6 +102,20 @@ func getJob(t *testing.T, ts *httptest.Server, id string) JobView {
 		t.Fatal(err)
 	}
 	return view
+}
+
+// jobResult returns a done job's result document, inflated from the
+// stored (gzip) copy the job holds.
+func jobResult(t *testing.T, j *Job) []byte {
+	t.Helper()
+	j.mu.Lock()
+	gz := j.result
+	j.mu.Unlock()
+	doc, err := inflate(gz)
+	if err != nil {
+		t.Fatalf("job %s: stored result does not inflate: %v", j.ID, err)
+	}
+	return doc
 }
 
 // streamEvents follows the job's NDJSON stream to its terminal event.
@@ -436,6 +451,81 @@ func TestCacheDiskSpill(t *testing.T) {
 	}
 }
 
+// TestCacheHitServesLibraryBytes: a result-cache hit serves exactly the
+// library's document — spliced verbatim into GET /v1/jobs/{id} (the
+// envelope stays indented) and byte-exact on GET /v1/units/{key},
+// whether the client takes gzip or not.
+func TestCacheHitServesLibraryBytes(t *testing.T) {
+	sc := lineScenario("library-bytes", 2_000, 5)
+	c, err := sc.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := startServer(t, Config{Workers: 1, QueueDepth: 4})
+	_, first := submitScenario(t, ts, sc)
+	waitForState(t, ts, first.ID, StateDone)
+	status, hit := submitScenario(t, ts, sc)
+	if status != http.StatusOK || !hit.Cached {
+		t.Fatalf("resubmission missed the cache: status %d %+v", status, hit)
+	}
+	for _, id := range []string{first.ID, hit.ID} {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(body, []byte("\n  \"state\": \"done\",\n")) {
+			t.Fatalf("job %s: envelope not indented:\n%.300s", id, body)
+		}
+		if !bytes.HasSuffix(body, append(append([]byte(",\n  \"result\": "), want...), "\n}\n"...)) {
+			t.Fatalf("job %s: result not spliced verbatim:\n%.300s", id, body)
+		}
+		if view := getJob(t, ts, id); !bytes.Equal(view.Result, want) {
+			t.Fatalf("job %s: decoded result differs from the library's", id)
+		}
+	}
+	for _, enc := range []string{"gzip", "identity"} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/units/"+resultKey(sc.Hash()), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept-Encoding", enc)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var src io.Reader = resp.Body
+		if resp.Header.Get("Content-Encoding") == "gzip" {
+			zr, err := gzip.NewReader(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src = zr
+		}
+		body, err := io.ReadAll(src)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+			t.Fatalf("unit GET (Accept-Encoding %s): status %d, body %.200s", enc, resp.StatusCode, body)
+		}
+	}
+}
+
 // TestCacheRestart checks that a fresh server over the same spill
 // directory — a daemon restart — serves previous results.
 func TestCacheRestart(t *testing.T) {
@@ -484,9 +574,7 @@ func TestCacheIgnoresOtherStreamVersions(t *testing.T) {
 	}
 	waitForState(t, ts, job.ID, StateDone)
 	j, _ := srv.job(job.ID)
-	j.mu.Lock()
-	got := append([]byte(nil), j.result...)
-	j.mu.Unlock()
+	got := jobResult(t, j)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("recomputed result differs from the library's:\n got %s\nwant %s", got, want)
 	}

@@ -108,6 +108,9 @@ type fpScratch struct {
 	ptotal  float64
 	wring   [][]int32
 
+	// indexedVerdict's rounding allowances for this slot (beginGridSlot).
+	remSlack, farGrow float64
+
 	// This resolver's grid accounting (prepareGrid), read through
 	// NewStatsResolver's stats function.
 	rebuilds, deltas uint64
@@ -471,14 +474,9 @@ func (m *FixedPower) fillTableRange(sc *fpScratch, lo, hi int) {
 // fillSuccessesIndexed resolves one counted slot through the spatial
 // index. At FarFloor = 0 the interference sum visits every distinct
 // transmitting link in ascending order with the exact table-build
-// formula — bit-identical to the table paths. At FarFloor = ε > 0 the
-// per-slot grid over the transmitting senders is ring-expanded around
-// each receiver: interferers in cells within the contribution-floor
-// radius are summed exactly, farther cells are charged their aggregate
-// power over their box distance, and the unvisited remainder is closed
-// with geom.FarFieldBound once it drops below the ε budget. The
-// resulting estimate Î = near + tail always satisfies Î ≥ I_true, so
-// reported successes are true SINR successes.
+// formula — bit-identical to the table paths. At FarFloor = ε > 0 each
+// receiver's test runs against the spatially-indexed estimate Î ≥ I_true
+// (see indexedVerdict), so reported successes are true SINR successes.
 //
 // The grid is prepared serially — incrementally when the previous
 // slot's geometry and most of its transmitter set carry over — and is
@@ -489,6 +487,30 @@ func (m *FixedPower) fillSuccessesIndexed(sc *fpScratch) {
 		m.runRanges(sc)
 		return
 	}
+	m.beginGridSlot(sc)
+	sc.mode = fpModeIndexedGrid
+	m.runRanges(sc)
+}
+
+// unitRoundoff is u = 2⁻⁵³, the relative error of one correctly
+// rounded float64 operation.
+const unitRoundoff = 0x1p-53
+
+// beginGridSlot sets up the FarFloor > 0 state of one counted slot: the
+// ascending selection of distinct transmitters, their total power, the
+// rounding allowances of indexedVerdict's early success, and the grid.
+//
+// With k transmitters, the finished estimate adds at most k+1 further
+// terms (one per remaining point or aggregated cell, plus the far-field
+// closure), each with one rounding; math.Pow is within (1450 + 2α)·u of
+// the true power for every finite normal result (Exp(yf·Log x) with
+// |yf·ln x| ≤ 710, then repeated squaring over α's integer part), once
+// in each term and once in the bound; one division per term and the
+// check's own few operations add a few u more. farGrow covers all of
+// that at least twice over. remSlack bounds the error of
+// rem = ptotal − visited, whose three summations (ptotal, the cell
+// weights, visited) each err by at most k·u·ptotal.
+func (m *FixedPower) beginGridSlot(sc *fpScratch) {
 	sel := sc.sel[:0]
 	ptotal := 0.0
 	for _, e := range sc.rs.Uniq {
@@ -497,9 +519,10 @@ func (m *FixedPower) fillSuccessesIndexed(sc *fpScratch) {
 	}
 	sc.sel = sel
 	sc.ptotal = ptotal
+	k := float64(len(sel))
+	sc.remSlack = (4*k + 8) * unitRoundoff * ptotal
+	sc.farGrow = 1 + (2*k+8*m.prm.Alpha+8192)*unitRoundoff
 	m.prepareGrid(sc)
-	sc.mode = fpModeIndexedGrid
-	m.runRanges(sc)
 }
 
 // prepareGrid brings sc.grid to the current slot's ascending selection.
@@ -547,41 +570,53 @@ func (m *FixedPower) fillIndexedExactRange(sc *fpScratch, lo, hi int) {
 // scratch.
 func (m *FixedPower) fillIndexedGridRange(sc *fpScratch, slot, lo, hi int) {
 	s := sc.rs
-	beta := m.prm.Beta
 	for i := lo; i < hi; i++ {
 		e := sc.tx[i]
 		if s.Counts[e] != 1 {
 			continue
 		}
-		near, tail := m.indexedInterference(sc, e, sc.ptotal, &sc.wring[slot])
-		sc.out[i] = m.signals[e] >= beta*(near+tail)
+		sc.out[i] = m.indexedVerdict(sc, e, &sc.wring[slot])
 	}
 }
 
-// indexedInterference computes the spatially-indexed interference
-// estimate at link e's receiver against the slot grid in sc: near is the
-// noise plus the exactly-summed contribution of every interferer in
-// cells within the contribution-floor radius, tail the rigorous upper
-// bound on everything else (per-cell aggregates plus the far-field
-// remainder). ptotal is the total transmitting power in the grid.
+// indexedVerdict decides link e's SINR test signal ≥ β·Î against the
+// slot grid in sc, where Î = near + tail is the spatially-indexed
+// interference estimate at e's receiver: near is the noise plus the
+// exactly-summed contribution of every interferer in cells within the
+// contribution-floor radius, tail the rigorous upper bound on
+// everything else (per-cell aggregates plus the far-field remainder).
 //
-// Soundness: near + tail ≥ I_true always — each aggregated cell is
-// charged its full power at its closest box point, and the remainder is
-// charged at the closest unvisited cell distance (geom.FarFieldBound).
-// Accuracy: every interferer whose individual affectance on e reaches
-// the floor ε lies within the exact radius, so the per-term error of
-// the estimate is below ε·signal/β, and the remainder term alone is
-// below that same budget. Per-slot cost is the number of cells and
-// points within the stop radius — local density, not n.
+// Soundness: Î ≥ I_true always — each aggregated cell is charged its
+// full power at its closest box point, and the remainder is charged at
+// the closest unvisited cell distance (geom.FarFieldBound). Accuracy:
+// every interferer whose individual affectance on e reaches the floor ε
+// lies within the exact radius, so the per-term error of the estimate
+// is below ε·signal/β, and the remainder term alone is below that same
+// budget. Per-slot cost is the number of cells and points within the
+// stop radius — local density, not n.
+//
+// The ring walk stops as soon as the verdict on the finished Î is
+// certain, usually many rings before Î itself is finished:
+//   - failure once β·(near+tail) > signal: float sums of non-negative
+//     terms only grow, so the finished estimate fails too;
+//   - success once β·(near + tail + rest)·farGrow ≤ signal, where rest
+//     charges the remaining mass (rem + remSlack) at the rounding-safe
+//     floor of the outer distance: every term the finished walk could
+//     still add — exact, aggregated or the closing far-field bound —
+//     charges its own share of that mass at no less than that distance.
+//
+// Either way the verdict is the one the finished walk gives, bit for
+// bit (spatial_test.go keeps that walk as the reference oracle).
 //
 // ringp is the caller's reusable ring-cell buffer (one per worker under
 // parallel resolution); it is grown in place and written back.
-func (m *FixedPower) indexedInterference(sc *fpScratch, e int, ptotal float64, ringp *[]int32) (near, tail float64) {
+func (m *FixedPower) indexedVerdict(sc *fpScratch, e int, ringp *[]int32) bool {
 	alpha, beta := m.prm.Alpha, m.prm.Beta
 	grid := &sc.grid
 	q := m.recvPos[e]
-	near = m.prm.Noise
-	budget := m.opts.FarFloor * m.signals[e] / beta
+	signal := m.signals[e]
+	near, tail := m.prm.Noise, 0.0
+	budget := m.opts.FarFloor * signal / beta
 	// A single interferer at distance d contributes p/d^α ≥ budget only
 	// when d^α ≤ pmax/budget: cells beyond that radius hold only
 	// below-floor interferers and may be aggregated.
@@ -590,6 +625,7 @@ func (m *FixedPower) indexedInterference(sc *fpScratch, e int, ptotal float64, r
 	visited := 0.0
 	maxRing := grid.MaxRing(cx, cy)
 	ring := *ringp
+	defer func() { *ringp = ring }()
 	for r := 0; r <= maxRing; r++ {
 		var cont bool
 		ring, cont = grid.RingCells(cx, cy, r, ring[:0])
@@ -615,7 +651,7 @@ func (m *FixedPower) indexedInterference(sc *fpScratch, e int, ptotal float64, r
 		if !cont {
 			break
 		}
-		rem := ptotal - visited
+		rem := sc.ptotal - visited
 		if rem <= 0 {
 			break
 		}
@@ -627,9 +663,30 @@ func (m *FixedPower) indexedInterference(sc *fpScratch, e int, ptotal float64, r
 			tail += b
 			break
 		}
+		if beta*(near+tail) > signal {
+			return false
+		}
+		rest := certainFarBound(alpha, rem+sc.remSlack, grid.OuterDistFloor(q, od))
+		if beta*((near+tail+rest)*sc.farGrow) <= signal {
+			return true
+		}
 	}
-	*ringp = ring
-	return near, tail
+	return signal >= beta*(near+tail)
+}
+
+// certainFarBound is geom.FarFieldBound(alpha, mass, dist) where
+// math.Pow's error bound holds for dist^α and for every larger
+// distance's power: +Inf (nothing certain) unless dist > 0 and dist^α
+// is finite and at least 2⁻¹⁰⁰⁰, clear of the subnormal range.
+func certainFarBound(alpha, mass, dist float64) float64 {
+	if !(dist > 0) {
+		return math.Inf(1)
+	}
+	den := math.Pow(dist, alpha)
+	if !(den >= 0x1p-1000) || math.IsInf(den, 1) {
+		return math.Inf(1)
+	}
+	return mass / den
 }
 
 // NewResolver implements interference.SlotResolver with the same exact

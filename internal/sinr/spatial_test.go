@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"dynsched/internal/geom"
 	"dynsched/internal/netgraph"
 )
 
@@ -130,6 +131,84 @@ func TestPowerControlIndexedZeroFloorBitIdentity(t *testing.T) {
 	}
 }
 
+// fullWalk is the reference oracle of indexedVerdict: the same ring walk
+// run to completion, returning the finished estimate Î = near + tail at
+// link e's receiver (near: noise plus the exact terms; tail: the cell
+// aggregates plus the far-field closure). indexedVerdict must return
+// exactly signal ≥ β·(near + tail).
+func fullWalk(m *FixedPower, sc *fpScratch, e int, ring []int32) (near, tail float64) {
+	alpha, beta := m.prm.Alpha, m.prm.Beta
+	grid := &sc.grid
+	q := m.recvPos[e]
+	near = m.prm.Noise
+	budget := m.opts.FarFloor * m.signals[e] / beta
+	rex2 := math.Pow(m.pmax/budget, 2/alpha)
+	cx, cy := grid.CellAt(q)
+	visited := 0.0
+	maxRing := grid.MaxRing(cx, cy)
+	for r := 0; r <= maxRing; r++ {
+		var cont bool
+		ring, cont = grid.RingCells(cx, cy, r, ring[:0])
+		for _, ci := range ring {
+			w := grid.CellWeightAt(ci)
+			if w == 0 {
+				continue
+			}
+			visited += w
+			d2 := grid.CellMinDistSqAt(q, ci)
+			if d2 <= rex2 {
+				for _, id := range grid.CellIDsAt(ci) {
+					e2 := int(id)
+					if e2 == e {
+						continue
+					}
+					near += m.powers[e2] / math.Pow(m.sendPos[e2].Dist(q), alpha)
+				}
+			} else {
+				tail += w / math.Pow(d2, alpha/2)
+			}
+		}
+		if !cont {
+			break
+		}
+		rem := sc.ptotal - visited
+		if rem <= 0 {
+			break
+		}
+		od, ok := grid.OuterDist(q, cx, cy, r)
+		if !ok {
+			break
+		}
+		if b := geom.FarFieldBound(alpha, rem, od); b <= budget {
+			tail += b
+			break
+		}
+	}
+	return near, tail
+}
+
+// oracleVerdict is link e's SINR test on the oracle's finished estimate.
+func oracleVerdict(m *FixedPower, sc *fpScratch, e int) bool {
+	near, tail := fullWalk(m, sc, e, nil)
+	return m.signals[e] >= m.prm.Beta*(near+tail)
+}
+
+// gridSlot sets up a pooled scratch for tx exactly as the FarFloor > 0
+// resolver does (counting, selection, rounding allowances, grid), so
+// tests can query one receiver at a time. Release it with endGridSlot.
+func gridSlot(m *FixedPower, tx []int) *fpScratch {
+	sc := m.scratch.Get().(*fpScratch)
+	sc.rs.Count(tx)
+	sort.Ints(sc.rs.Uniq)
+	m.beginGridSlot(sc)
+	return sc
+}
+
+func endGridSlot(m *FixedPower, sc *fpScratch, tx []int) {
+	sc.rs.End(tx)
+	m.scratch.Put(sc)
+}
+
 // TestFixedPowerFarFloorSoundness: at ε > 0 the indexed estimate
 // Î = near + tail must dominate the true interference at every receiver
 // (the measured tail never exceeds the stated bound), so every success
@@ -157,21 +236,10 @@ func TestFixedPowerFarFloorSoundness(t *testing.T) {
 			k := 2 + rng.Intn(n)
 			tx := rng.Perm(n)[:k]
 			sort.Ints(tx)
-			// Reproduce the resolver's slot setup to read Î directly.
-			sc := m.scratch.Get().(*fpScratch)
-			sc.rs.Count(tx)
-			sort.Ints(sc.rs.Uniq)
-			sel := sc.sel[:0]
-			ptotal := 0.0
-			for _, e := range sc.rs.Uniq {
-				sel = append(sel, int32(e))
-				ptotal += m.powers[e]
-			}
-			sc.sel = sel
-			sc.grid.Fill(m.sendPos, sel, m.powers, m.opts.CellSize)
-			var ring []int32
+			// Read Î from the oracle on the resolver's own slot setup.
+			sc := gridSlot(m, tx)
 			for _, e := range tx {
-				near, tail := m.indexedInterference(sc, e, ptotal, &ring)
+				near, tail := fullWalk(m, sc, e, nil)
 				truth := prm.Noise
 				for _, e2 := range tx {
 					if e2 != e {
@@ -185,8 +253,7 @@ func TestFixedPowerFarFloorSoundness(t *testing.T) {
 					t.Fatalf("eps=%g trial %d link %d: near part %v exceeds true interference %v", eps, trial, e, near, truth)
 				}
 			}
-			sc.rs.End(tx)
-			m.scratch.Put(sc)
+			endGridSlot(m, sc, tx)
 			// End to end: indexed success ⊆ exact success.
 			got, want := m.Successes(tx), exact.Successes(tx)
 			for i := range tx {
@@ -196,6 +263,183 @@ func TestFixedPowerFarFloorSoundness(t *testing.T) {
 			}
 		}
 	}
+}
+
+// verdictNetwork builds n random links for the differential test: senders
+// uniform on a square of the given side shifted by off, receivers 1–4
+// away at random angles. Every 17th link duplicates an earlier link's
+// geometry, and every 29th sender sits on an earlier link's receiver (an
+// infinite interference term).
+func verdictNetwork(rng *rand.Rand, n int, side float64, off geom.Point) *netgraph.Graph {
+	pts := make([]geom.Point, 2*n)
+	for i := 0; i < n; i++ {
+		s := geom.Point{X: off.X + rng.Float64()*side, Y: off.Y + rng.Float64()*side}
+		length, angle := 1+3*rng.Float64(), 2*math.Pi*rng.Float64()
+		pts[2*i] = s
+		pts[2*i+1] = geom.Point{X: s.X + length*math.Cos(angle), Y: s.Y + length*math.Sin(angle)}
+		switch j := rng.Intn(max(i, 1)); {
+		case i > 0 && i%17 == 0:
+			pts[2*i], pts[2*i+1] = pts[2*j], pts[2*j+1]
+		case i > 0 && i%29 == 0 && pts[2*j+1] != pts[2*i+1]:
+			pts[2*i] = pts[2*j+1]
+		}
+	}
+	g := netgraph.New(2 * n)
+	if err := g.SetPositions(pts); err != nil {
+		panic(err)
+	}
+	for i := 0; i < n; i++ {
+		g.MustAddLink(netgraph.NodeID(2*i), netgraph.NodeID(2*i+1))
+	}
+	return g
+}
+
+// stackNetwork is the tight case of the early-success bound: link 0
+// points left from the origin (receiver at (-0.5, 0)) and k links stack
+// their senders at (d, 0), pointing right, all shifted by off. With unit
+// cells, the stack sits exactly at the outer distance of the ring before
+// its own, so there the bound equals the finished estimate's last term
+// in exact arithmetic, and only the rounding allowances tell them apart.
+func stackNetwork(d, k int, off geom.Point) *netgraph.Graph {
+	pts := []geom.Point{{X: off.X, Y: off.Y}, {X: off.X - 0.5, Y: off.Y}}
+	for i := 0; i < k; i++ {
+		pts = append(pts, geom.Point{X: off.X + float64(d), Y: off.Y}, geom.Point{X: off.X + float64(d) + 0.5, Y: off.Y})
+	}
+	g := netgraph.New(len(pts))
+	if err := g.SetPositions(pts); err != nil {
+		panic(err)
+	}
+	for i := 0; i < len(pts); i += 2 {
+		g.MustAddLink(netgraph.NodeID(i), netgraph.NodeID(i+1))
+	}
+	return g
+}
+
+// TestIndexedVerdictMatchesFullWalk is the differential test of the
+// early-stopping ring walk against the oracle: random networks over
+// α ∈ {2.2, 2.5, 3, 4, 6}, varied β and ε ∈ [1e-6, 0.9], uniform and
+// linear powers, duplicate and co-located links, coordinates offset by up
+// to 1e9, and random slots with repeated transmitters. Every verdict —
+// per receiver and through the resolver — must equal the finished
+// walk's. Each slot then moves a few receivers' signals onto their
+// threshold β·Î and a few ulps either side, where a wrong early success
+// would show.
+func TestIndexedVerdictMatchesFullWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(139))
+	alphas := []float64{2.2, 2.5, 3, 4, 6}
+	offsets := []float64{0, 1e3, 1e6, 1e9}
+	rounds := 200
+	if testing.Short() {
+		rounds = 40
+	}
+	verdicts, ties := 0, 0
+	for round := 0; round < rounds; round++ {
+		prm := Params{Alpha: alphas[round%len(alphas)], Beta: 0.5 + 4*rng.Float64()}
+		eps := math.Pow(10, -6+rng.Float64()*(6+math.Log10(0.9)))
+		pk := PowerUniform
+		if rng.Intn(2) == 0 {
+			pk = PowerLinear
+		}
+		scale := offsets[rng.Intn(len(offsets))]
+		off := geom.Point{X: (2*rng.Float64() - 1) * scale, Y: (2*rng.Float64() - 1) * scale}
+		n := 32 + rng.Intn(300)
+		g := verdictNetwork(rng, n, math.Sqrt(float64(n))*(1+5*rng.Float64()), off)
+		powers, err := Powers(g, prm, pk, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prm.Noise = MaxNoise(g, prm, powers, 0.5) * rng.Float64()
+		m, err := NewFixedPowerOpts(g, prm, powers, WeightMonotone, indexedOpts(eps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resolve := m.NewResolverN(1)
+		for trial := 0; trial < 12; trial++ {
+			tx := make([]int, 1+rng.Intn(2*n))
+			for i := range tx {
+				tx[i] = rng.Intn(n)
+			}
+			got := append([]bool(nil), resolve(tx)...)
+			sc := gridSlot(m, tx)
+			for i, e := range tx {
+				want := sc.rs.Counts[e] == 1 && oracleVerdict(m, sc, e)
+				if got[i] != want {
+					t.Fatalf("round %d trial %d: resolver verdict of link %d = %v, full walk %v (α=%g β=%g ε=%g off=%v)",
+						round, trial, e, got[i], want, prm.Alpha, prm.Beta, eps, off)
+				}
+				verdicts++
+			}
+			for _, e := range tx[:min(len(tx), 4)] {
+				if sc.rs.Counts[e] == 1 {
+					ties += checkTies(t, m, sc, e)
+				}
+			}
+			endGridSlot(m, sc, tx)
+		}
+	}
+	// The tight case, at every threshold probe: stacks of 1–8 senders
+	// at distance 1–12, summed exactly (kε < 1) or as one aggregated
+	// cell, near the origin and at a lattice-aligned offset of 2³⁰.
+	for _, alpha := range alphas {
+		for _, eps := range []float64{1e-6, 0.1, 0.5, 0.9} {
+			for _, off := range []geom.Point{{}, {X: 0x1p30, Y: -0x1p30}} {
+				for d := 1; d <= 12; d++ {
+					for k := 1; k <= 8; k++ {
+						g := stackNetwork(d, k, off)
+						prm := Params{Alpha: alpha, Beta: 1 + rng.Float64(), Noise: 1e-9 * rng.Float64()}
+						powers, err := Powers(g, prm, PowerUniform, 1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						opt := indexedOpts(eps)
+						opt.CellSize = 1
+						m, err := NewFixedPowerOpts(g, prm, powers, WeightMonotone, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						tx := make([]int, k+1)
+						for i := range tx {
+							tx[i] = i
+						}
+						sc := gridSlot(m, tx)
+						ties += checkTies(t, m, sc, 0)
+						endGridSlot(m, sc, tx)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d verdicts, %d at or next to a threshold", verdicts, ties)
+}
+
+// checkTies moves link e's signal onto the threshold β·Î of the finished
+// estimate (iterating, since the signal also sets the floor budget) and
+// two ulps either side, and compares indexedVerdict with the oracle at
+// each. It restores the signal and returns the number of checks.
+func checkTies(t *testing.T, m *FixedPower, sc *fpScratch, e int) int {
+	t.Helper()
+	orig := m.signals[e]
+	defer func() { m.signals[e] = orig }()
+	sig := orig
+	for i := 0; i < 4; i++ {
+		near, tail := fullWalk(m, sc, e, nil)
+		next := m.prm.Beta * (near + tail)
+		if next == sig || !(next > 0) || math.IsInf(next, 1) {
+			break
+		}
+		sig = next
+		m.signals[e] = sig
+	}
+	lo, hi := math.Nextafter(sig, 0), math.Nextafter(sig, math.Inf(1))
+	probes := []float64{math.Nextafter(lo, 0), lo, sig, hi, math.Nextafter(hi, math.Inf(1))}
+	var ring []int32
+	for _, s := range probes {
+		m.signals[e] = s
+		if got, want := m.indexedVerdict(sc, e, &ring), oracleVerdict(m, sc, e); got != want {
+			t.Fatalf("link %d at signal %v (threshold %v): verdict %v, full walk %v", e, s, sig, got, want)
+		}
+	}
+	return len(probes)
 }
 
 // TestFixedPowerFloorSparseWeights: the ε > 0 analysis matrix keeps every
