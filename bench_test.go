@@ -402,10 +402,10 @@ func BenchmarkStochasticStep16k(b *testing.B) {
 	benchStochasticStep(b, compileSpatial16k(b).Process)
 }
 
-// compileSpatial16k compiles perfbench spatial's scenario.
-func compileSpatial16k(b *testing.B) *CompiledScenario {
-	b.Helper()
-	cs, err := Scenario{
+// spatial16k is perfbench spatial's scenario at seed 1, without its
+// run options (warm-up, parallelism).
+func spatial16k() Scenario {
+	return Scenario{
 		Name: "bench-stochastic-16k",
 		Network: NetworkSpec{Topology: "generator", Links: 16384, Hops: 1,
 			Generator: &GeneratorSpec{Kind: "uniform", Seed: 42}},
@@ -413,11 +413,48 @@ func compileSpatial16k(b *testing.B) *CompiledScenario {
 		Traffic:  TrafficSpec{Pattern: "stochastic", Lambda: 0.04},
 		Protocol: ProtocolSpec{Alg: "full-parallel", Eps: 0.25},
 		Sim:      SimSpec{Slots: 300, Seed: 1},
-	}.Compile()
+	}
+}
+
+// compileSpatial16k compiles perfbench spatial's scenario.
+func compileSpatial16k(b *testing.B) *CompiledScenario {
+	b.Helper()
+	cs, err := spatial16k().Compile()
 	if err != nil {
 		b.Fatal(err)
 	}
 	return cs
+}
+
+// BenchmarkSpatialUnit16k is one perfbench spatial plan unit as the
+// daemon runs it: a ModelCache compile (process and protocol; the
+// network and model are built once, outside the timer) and the 300-slot
+// run, at a new traffic seed per op, with spatial's run options. It
+// carries the per-packet costs of the engine and the dynamic protocol
+// over the 32768 single-hop routes; allocs/op counts them.
+func BenchmarkSpatialUnit16k(b *testing.B) {
+	sc := spatial16k()
+	sc.Sim.WarmupFrac, sc.Sim.Parallel, sc.Sim.ResolveParallelism = 0.1, 1, 2
+	mc := NewModelCache()
+	if _, err := mc.Compile(sc); err != nil {
+		b.Fatal(err)
+	}
+	injected := int64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.Sim.Seed = int64(i) + 1
+		cs, err := mc.Compile(sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := cs.Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		injected += res.Injected
+	}
+	b.ReportMetric(float64(injected)/float64(b.N), "packets/op")
 }
 
 // BenchmarkSlotResolveSpatial16k is perfbench spatial's active slots:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"dynsched/internal/sim"
@@ -180,6 +181,22 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 		c.Config.Checkpoint = &sim.CheckpointSpec{Resume: &short}
 		if _, err := c.Run(context.Background()); err == nil {
 			t.Fatal("resume beyond the horizon succeeded")
+		}
+	})
+	t.Run("empty packet path", func(t *testing.T) {
+		if len(cp.Packets) == 0 {
+			t.Fatal("checkpoint holds no packet in flight")
+		}
+		c, err := sc.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := *cp
+		bad.Packets = slices.Clone(cp.Packets)
+		bad.Packets[0].Path = nil
+		c.Config.Checkpoint = &sim.CheckpointSpec{Resume: &bad}
+		if _, err := c.Run(context.Background()); err == nil {
+			t.Fatal("resume with a pathless packet succeeded")
 		}
 	})
 }

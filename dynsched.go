@@ -282,7 +282,10 @@ func RequestMeasure(m Model, reqs []Request) float64 { return static.RequestMeas
 // Packet is an injected communication request with a fixed path.
 type Packet = inject.Packet
 
-// InjectionProcess produces the packets arriving at each slot.
+// InjectionProcess produces the packets arriving at each slot. Each
+// packet's Path is shared read-only for the packet's lifetime — the
+// simulator and protocols retain the slice itself until delivery — so
+// an implementation must never write to a path it has handed out.
 type InjectionProcess = inject.Process
 
 // Generator is one user of the stochastic injection model.

@@ -14,6 +14,7 @@ import (
 
 	"dynsched/internal/inject"
 	"dynsched/internal/interference"
+	"dynsched/internal/netgraph"
 	"dynsched/internal/sim"
 )
 
@@ -25,7 +26,7 @@ type queues struct {
 
 type qpkt struct {
 	id   int64
-	path []int
+	path netgraph.Path // the injected route, shared read-only
 	hop  int
 }
 
@@ -35,13 +36,9 @@ func newQueues(numLinks int) *queues {
 
 func (q *queues) inject(pkts []inject.Packet) {
 	for _, ip := range pkts {
-		path := make([]int, len(ip.Path))
-		for i, e := range ip.Path {
-			path[i] = int(e)
-		}
-		p := &qpkt{id: ip.ID, path: path}
+		p := &qpkt{id: ip.ID, path: ip.Path}
 		q.packets[p.id] = p
-		q.byLink[path[0]] = append(q.byLink[path[0]], p)
+		q.byLink[ip.Path[0]] = append(q.byLink[ip.Path[0]], p)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"dynsched/internal/inject"
+	"dynsched/internal/netgraph"
 	"dynsched/internal/sim"
 )
 
@@ -21,7 +22,7 @@ type SIS struct {
 
 type sisPkt struct {
 	id       int64
-	path     []int
+	path     netgraph.Path // the injected route, shared read-only
 	hop      int
 	injected int64
 }
@@ -42,12 +43,8 @@ func (s *SIS) QueueLen() int { return s.held }
 // Inject implements sim.Protocol.
 func (s *SIS) Inject(t int64, pkts []inject.Packet) {
 	for _, ip := range pkts {
-		path := make([]int, len(ip.Path))
-		for i, e := range ip.Path {
-			path[i] = int(e)
-		}
-		p := &sisPkt{id: ip.ID, path: path, injected: ip.Injected}
-		s.byLink[path[0]] = append(s.byLink[path[0]], p)
+		p := &sisPkt{id: ip.ID, path: ip.Path, injected: ip.Injected}
+		s.byLink[ip.Path[0]] = append(s.byLink[ip.Path[0]], p)
 		s.held++
 	}
 }

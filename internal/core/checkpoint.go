@@ -27,12 +27,12 @@ import (
 
 // pktRec is one live packet's serialized protocol state.
 type pktRec struct {
-	ID            int64 `json:"id"`
-	Path          []int `json:"path"`
-	Hop           int   `json:"hop"`
-	Failed        bool  `json:"failed,omitempty"`
-	FailSlot      int64 `json:"failSlot,omitempty"`
-	ActivateFrame int64 `json:"activateFrame"`
+	ID            int64         `json:"id"`
+	Path          netgraph.Path `json:"path"`
+	Hop           int           `json:"hop"`
+	Failed        bool          `json:"failed,omitempty"`
+	FailSlot      int64         `json:"failSlot,omitempty"`
+	ActivateFrame int64         `json:"activateFrame"`
 }
 
 // protoState is the protocol's serialized frame-boundary state.
@@ -118,12 +118,8 @@ func (p *Protocol) RestoreState(data []byte) error {
 	p.curFrame = st.Cur
 	p.live = make([]*pkt, len(st.Live))
 	for i, rec := range st.Live {
-		path := make(netgraph.Path, len(rec.Path))
-		for k, e := range rec.Path {
-			path[k] = netgraph.LinkID(e)
-		}
 		p.live[i] = &pkt{
-			id: rec.ID, path: p.interner.Ints(path), hop: rec.Hop,
+			id: rec.ID, path: rec.Path, hop: rec.Hop,
 			failed: rec.Failed, failSlot: rec.FailSlot, activateFrame: rec.ActivateFrame,
 		}
 	}

@@ -30,6 +30,7 @@ import (
 
 	"dynsched/internal/inject"
 	"dynsched/internal/interference"
+	"dynsched/internal/netgraph"
 	"dynsched/internal/randx"
 	"dynsched/internal/sim"
 	"dynsched/internal/static"
@@ -144,7 +145,7 @@ func frameJ(lambda, eps float64, t int) int {
 // pkt is the protocol's view of one packet.
 type pkt struct {
 	id            int64
-	path          []int
+	path          netgraph.Path // the injected route, shared read-only
 	hop           int
 	failed        bool
 	delivered     bool
@@ -222,14 +223,12 @@ type Protocol struct {
 	hopScratch []int
 	selScratch []*pkt
 
-	// interner shares one []int per distinct injected route, and pktFree
-	// recycles pkt structs: the steady-state packet lifecycle allocates
-	// nothing. Delivered packets stay on live (flagged) until the next
-	// main-phase start — stale execPkts entries may still point at them
-	// until buildExec repoints the execution — and only then join the
-	// free list for reuse by Inject.
-	interner *sim.PathInterner
-	pktFree  []*pkt
+	// pktFree recycles pkt structs: the steady-state packet lifecycle
+	// allocates nothing. Delivered packets stay on live (flagged) until
+	// the next main-phase start — stale execPkts entries may still point
+	// at them until buildExec repoints the execution — and only then
+	// join the free list for reuse by Inject.
+	pktFree []*pkt
 }
 
 // FrameStat summarises one frame of protocol activity.
@@ -333,7 +332,6 @@ func New(cfg Config) (*Protocol, error) {
 		failBuf:    make([][]*pkt, cfg.Model.NumLinks()),
 		rngSrc:     rngSrc,
 		rng:        rand.New(rngSrc),
-		interner:   sim.NewPathInterner(),
 	}, nil
 }
 
@@ -371,14 +369,14 @@ func (p *Protocol) Potential() int {
 
 // Inject implements sim.Protocol. Under the adversarial wrapper each
 // packet draws its uniform initial delay here, at injection time.
-// Paths are interned (shared per distinct route, never mutated) and pkt
+// Each packet keeps the process's path (shared, never mutated) and pkt
 // structs come from the free list, so steady-state injection performs
 // no allocations.
 func (p *Protocol) Inject(t int64, pkts []inject.Packet) {
 	frame := t / int64(p.sizing.T)
 	for _, ip := range pkts {
 		st := p.allocPkt()
-		st.id, st.path = ip.ID, p.interner.Ints(ip.Path)
+		st.id, st.path = ip.ID, ip.Path
 		st.activateFrame = frame + 1
 		if p.sizing.DelayMax > 1 {
 			st.activateFrame += int64(p.rng.Intn(p.sizing.DelayMax))
@@ -443,7 +441,7 @@ func (p *Protocol) Slot(t int64, rng *rand.Rand) []sim.Transmission {
 	idxs := p.emitIdx[:0]
 	for _, idx := range attempts {
 		st := p.execPkts[idx]
-		out = append(out, sim.Transmission{Link: st.path[st.hop], PacketID: st.id})
+		out = append(out, sim.Transmission{Link: int(st.path[st.hop]), PacketID: st.id})
 		ids = append(ids, st.id)
 		idxs = append(idxs, idx)
 	}
@@ -561,7 +559,7 @@ func (p *Protocol) buildExec(members []*pkt) {
 	reqs := p.reqScratch[:0]
 	hops := p.hopScratch[:0]
 	for _, st := range members {
-		reqs = append(reqs, static.Request{Link: st.path[st.hop], Tag: st.id})
+		reqs = append(reqs, static.Request{Link: int(st.path[st.hop]), Tag: st.id})
 		hops = append(hops, st.hop)
 	}
 	p.reqScratch, p.hopScratch = reqs, hops
@@ -637,7 +635,7 @@ func (p *Protocol) Feedback(t int64, tx []sim.Transmission, success []bool) {
 			continue
 		}
 		st := p.execPkts[idx]
-		prevLink := st.path[st.hop]
+		prevLink := int(st.path[st.hop])
 		st.hop++
 		if st.failed {
 			p.CleanupDelivered++

@@ -83,7 +83,7 @@ func E15SpatialScale(ctx context.Context, scale Scale, seed int64) (*Table, erro
 		successes := 0
 		nearTotal := 0
 		sendPts := make([]geom.Point, k)
-		var within []int32
+		var within, ring []int32
 		for _, tx := range slotTx {
 			for _, ok := range resolve(tx) {
 				if ok {
@@ -101,7 +101,7 @@ func E15SpatialScale(ctx context.Context, scale Scale, seed int64) (*Table, erro
 				link := g.Link(netgraph.LinkID(e))
 				signal := powers[e] / math.Pow(g.LinkDist(link.ID), prm.Alpha)
 				rex := math.Pow(pmax*prm.Beta/(eps*signal), 1/prm.Alpha)
-				within = grid.Within(g.Pos(link.To), rex, sendPts, within[:0])
+				within, ring = grid.Within(g.Pos(link.To), rex, sendPts, within[:0], ring)
 				nearTotal += len(within)
 			}
 		}

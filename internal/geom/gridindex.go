@@ -361,15 +361,17 @@ func (g *GridIndex) MaxRing(cx, cy int) int {
 // Within appends to dst the ids of every indexed point within Euclidean
 // distance radius of p (inclusive) and returns the extended slice. Cells
 // are pruned by their box distance, so the cost is proportional to the
-// number of cells and points near p, not the index size.
-func (g *GridIndex) Within(p Point, radius float64, pts []Point, dst []int32) []int32 {
+// number of cells and points near p, not the index size. ring is the
+// caller's scratch for each ring's cell list: Within overwrites it and
+// returns it grown, so a caller that passes it back on every query
+// allocates nothing once the buffers reach their high-water marks.
+func (g *GridIndex) Within(p Point, radius float64, pts []Point, dst, ring []int32) ([]int32, []int32) {
 	if g.count == 0 || !(radius >= 0) {
-		return dst
+		return dst, ring
 	}
 	r2 := radius * radius
 	cx, cy := g.clampCell(p)
 	maxRing := g.MaxRing(cx, cy)
-	var ring []int32
 	for r := 0; r <= maxRing; r++ {
 		var cont bool
 		ring, cont = g.RingCells(cx, cy, r, ring[:0])
@@ -392,7 +394,7 @@ func (g *GridIndex) Within(p Point, radius float64, pts []Point, dst []int32) []
 			break
 		}
 	}
-	return dst
+	return dst, ring
 }
 
 // FarFieldBound bounds the aggregate path-loss contribution of a remote

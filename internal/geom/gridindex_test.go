@@ -28,6 +28,7 @@ func bruteWithin(pts []Point, sel []int32, p Point, r float64) []int32 {
 
 func TestGridIndexWithinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var ring []int32 // reused across every query and index
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(400)
 		side := 1 + rng.Float64()*100
@@ -36,7 +37,8 @@ func TestGridIndexWithinMatchesBruteForce(t *testing.T) {
 		for q := 0; q < 10; q++ {
 			p := Point{X: (rng.Float64()*1.4 - 0.2) * side, Y: (rng.Float64()*1.4 - 0.2) * side}
 			r := rng.Float64() * side / 2
-			got := g.Within(p, r, pts, nil)
+			var got []int32
+			got, ring = g.Within(p, r, pts, nil, ring)
 			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 			want := bruteWithin(pts, nil, p, r)
 			if len(got) != len(want) {
@@ -100,7 +102,7 @@ func TestGridIndexSubsetFill(t *testing.T) {
 	if g.Count() != 10 {
 		t.Fatalf("refill Count = %d, want 10", g.Count())
 	}
-	got := g.Within(pts[sel[3]], 1e-9, pts, nil)
+	got, _ := g.Within(pts[sel[3]], 1e-9, pts, nil, nil)
 	found := false
 	for _, id := range got {
 		if id == sel[3] {

@@ -25,7 +25,11 @@ import (
 
 // Packet is an injected communication request with a fixed path.
 type Packet struct {
-	ID       int64
+	ID int64
+	// Path is shared, read-only, for the packet's whole lifetime: the
+	// engine and protocols keep this slice (not a copy) until delivery,
+	// and packets on the same route typically share one backing array.
+	// Neither the process nor any consumer may ever write to it.
 	Path     netgraph.Path
 	Injected int64 // slot of injection
 }
@@ -37,8 +41,10 @@ type Process interface {
 	// Step returns the packets injected at slot t. Implementations
 	// assign fresh packet IDs and stamp Injected = t. The returned slice
 	// is only valid until the next Step call — implementations may reuse
-	// it, so callers that keep packets across slots must copy them (the
-	// Path slices, by contrast, are stable and may be retained).
+	// it, so callers that keep packets across slots must copy them. The
+	// Path slices, by contrast, are retained as they are: a process must
+	// hand out a path that is never written again (its own immutable
+	// route table, say), never a reused buffer.
 	Step(t int64, rng *rand.Rand) []Packet
 	// Rate returns the nominal injection rate λ.
 	Rate() float64

@@ -1,5 +1,7 @@
 package sim
 
+import "dynsched/internal/netgraph"
+
 // The packet arena: the simulator's ground-truth store for in-flight
 // packets. The previous engine kept a map[int64]*pktState and allocated
 // a fresh pktState (plus a path copy) per injected packet; under heavy
@@ -7,17 +9,19 @@ package sim
 // every packet lifecycle and a hash lookup on every transmission. The
 // arena replaces it with a flat slice of packet slots recycled through
 // a free list, addressed by dense handles, plus a compact open-
-// addressing index from packet ID to handle. Steady state allocates
-// nothing: delivered packets return their slots to the free list, and
-// the index reuses its cells (growing only when the live population
-// exceeds every previous high-water mark).
+// addressing index from packet ID to handle. A slot keeps the injected
+// packet's own netgraph.Path — the process's read-only route, shared
+// for the packet's lifetime — so no route is copied or hashed. Steady
+// state allocates nothing: delivered packets return their slots to the
+// free list, and the index reuses its cells (growing only when the live
+// population exceeds every previous high-water mark).
 
 // pktState is the simulator's ground truth for an in-flight packet.
 type pktState struct {
 	id       int64
 	injected int64
-	path     []int // interned: shared with other packets on the same route
-	hop      int   // next hop index
+	path     netgraph.Path // the process's route, shared read-only
+	hop      int           // next hop index
 }
 
 // packetArena stores in-flight packets in recycled slots.
@@ -90,7 +94,7 @@ func (a *packetArena) get(id int64) *pktState {
 // already-present ID overwrites its slot in place (matching the old
 // map semantics for a process that reuses IDs). The returned pointer is
 // valid until the next insert.
-func (a *packetArena) insert(id int64, path []int, injected int64) *pktState {
+func (a *packetArena) insert(id int64, path netgraph.Path, injected int64) *pktState {
 	pos, found := a.find(id)
 	if found {
 		st := &a.slots[a.vals[pos]]

@@ -18,7 +18,7 @@ func TestPacketArenaMatchesMap(t *testing.T) {
 		hop      int
 		injected int64
 	}{}
-	path := []int{1, 2, 3}
+	path := netgraph.Path{1, 2, 3}
 	var ids []int64
 	nextID := int64(0)
 	for step := 0; step < 50_000; step++ {
@@ -90,7 +90,7 @@ func TestPacketArenaMatchesMap(t *testing.T) {
 func TestPacketArenaSteadyStateZeroAllocs(t *testing.T) {
 	testenv.SkipIfRace(t)
 	a := newPacketArena()
-	path := []int{0, 1}
+	path := netgraph.Path{0, 1}
 	id := int64(0)
 	for i := 0; i < 512; i++ { // reach a stable table size
 		id++
@@ -108,34 +108,5 @@ func TestPacketArenaSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("steady-state packet lifecycle: %v allocs, want 0", got)
-	}
-}
-
-// TestPathInternerSharesBacking pins interning semantics: equal routes
-// share one slice, distinct routes never alias, and conversion is
-// correct.
-func TestPathInternerSharesBacking(t *testing.T) {
-	pi := NewPathInterner()
-	p1 := netgraph.Path{1, 2, 3}
-	p2 := netgraph.Path{1, 2, 3}
-	p3 := netgraph.Path{1, 2, 4}
-	p4 := netgraph.Path{1, 2}
-	a, b, c, d := pi.Ints(p1), pi.Ints(p2), pi.Ints(p3), pi.Ints(p4)
-	if &a[0] != &b[0] {
-		t.Error("equal paths did not intern to the same backing")
-	}
-	if &a[0] == &c[0] {
-		t.Error("distinct paths alias")
-	}
-	if len(d) != 2 || d[0] != 1 || d[1] != 2 {
-		t.Errorf("prefix path converted to %v", d)
-	}
-	for i, e := range p3 {
-		if c[i] != int(e) {
-			t.Errorf("conversion mismatch at %d: %d vs %d", i, c[i], e)
-		}
-	}
-	if got := testing.AllocsPerRun(200, func() { pi.Ints(p1) }); got != 0 && !testenv.RaceEnabled {
-		t.Errorf("interning a known path: %v allocs, want 0", got)
 	}
 }

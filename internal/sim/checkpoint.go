@@ -75,7 +75,9 @@ type CheckpointSpec struct {
 	Resume *Checkpoint
 }
 
-// CheckpointPacket is one in-flight packet's serialized state.
+// CheckpointPacket is one in-flight packet's serialized state. Path is
+// the packet's route itself, shared with the running engine (and, on
+// resume, retained by it): it is read-only.
 type CheckpointPacket struct {
 	ID       int64         `json:"id"`
 	Injected int64         `json:"injected"`
@@ -163,12 +165,8 @@ func captureCheckpoint(next int64, cfg Config, src *randx.CountingSource, res *R
 		if st.path == nil {
 			continue
 		}
-		path := make(netgraph.Path, len(st.path))
-		for k, e := range st.path {
-			path[k] = netgraph.LinkID(e)
-		}
 		cp.Packets = append(cp.Packets, CheckpointPacket{
-			ID: st.id, Injected: st.injected, Hop: st.hop, Path: path,
+			ID: st.id, Injected: st.injected, Hop: st.hop, Path: st.path,
 		})
 	}
 	var err error
@@ -209,7 +207,7 @@ func componentState(v any, what string) (json.RawMessage, error) {
 // restoreCheckpoint rebuilds engine state from cp, returning the slot
 // to continue from.
 func restoreCheckpoint(cp *Checkpoint, cfg Config, src *randx.CountingSource, res *Result,
-	arena *packetArena, intern *PathInterner, model interference.Model, proc inject.Process, proto Protocol, obs []Observer) (int64, error) {
+	arena *packetArena, model interference.Model, proc inject.Process, proto Protocol, obs []Observer) (int64, error) {
 	if cp.Seed != cfg.Seed {
 		return 0, fmt.Errorf("checkpoint seed %d does not match config seed %d", cp.Seed, cfg.Seed)
 	}
@@ -225,7 +223,10 @@ func restoreCheckpoint(cp *Checkpoint, cfg Config, src *randx.CountingSource, re
 	res.AttemptedTx = cp.AttemptedTx
 	res.SuccessfulTx = cp.SuccessfulTx
 	for _, p := range cp.Packets {
-		st := arena.insert(p.ID, intern.Ints(p.Path), p.Injected)
+		if len(p.Path) == 0 {
+			return 0, fmt.Errorf("checkpoint packet %d has an empty path", p.ID)
+		}
+		st := arena.insert(p.ID, p.Path, p.Injected)
 		st.hop = p.Hop
 	}
 	if err := restoreComponent(proc, cp.Process, "injection process"); err != nil {

@@ -224,11 +224,10 @@ func Run(ctx context.Context, cfg Config, model interference.Model, proc inject.
 	obs = append(obs, extra...)
 
 	// Packet ground truth lives in a free-list arena addressed by dense
-	// handles, with injected paths interned (shared per distinct route):
-	// the steady-state packet lifecycle — inject, transmit, deliver —
+	// handles, holding each injected packet's shared path: the
+	// steady-state packet lifecycle — inject, transmit, deliver —
 	// performs no heap allocations.
 	arena := newPacketArena()
-	intern := NewPathInterner()
 	// Per-run slot resolver and link buffer: models that support it
 	// resolve slots allocation-free (sharded across intra-slot workers
 	// when requested), and the link vector is reused.
@@ -256,7 +255,7 @@ func Run(ctx context.Context, cfg Config, model interference.Model, proc inject.
 	t0 := int64(0)
 	if ck != nil && ck.Resume != nil {
 		var err error
-		t0, err = restoreCheckpoint(ck.Resume, cfg, src, res, arena, intern, model, proc, proto, obs)
+		t0, err = restoreCheckpoint(ck.Resume, cfg, src, res, arena, model, proc, proto, obs)
 		if err != nil {
 			return nil, fmt.Errorf("sim: resume from checkpoint: %w", err)
 		}
@@ -272,7 +271,7 @@ func Run(ctx context.Context, cfg Config, model interference.Model, proc inject.
 		// 1. Injection.
 		pkts := proc.Step(t, rng)
 		for _, p := range pkts {
-			arena.insert(p.ID, intern.Ints(p.Path), t)
+			arena.insert(p.ID, p.Path, t)
 		}
 		res.Injected += int64(len(pkts))
 		if len(pkts) > 0 {
@@ -287,7 +286,7 @@ func Run(ctx context.Context, cfg Config, model interference.Model, proc inject.
 		tx := want[:0]
 		for _, w := range want {
 			st := arena.get(w.PacketID)
-			if st == nil || st.hop >= len(st.path) || st.path[st.hop] != w.Link {
+			if st == nil || st.hop >= len(st.path) || int(st.path[st.hop]) != w.Link {
 				res.ProtocolErrors++
 				continue
 			}

@@ -2,7 +2,8 @@ package sinr
 
 import (
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"dynsched/internal/geom"
 	"dynsched/internal/interference"
@@ -20,7 +21,17 @@ import (
 // collected from a static spatial index in O(local density), evaluated
 // with exactly the same floating-point expression as the dense build,
 // and kept when they reach the floor. Construction costs O(n + nnz)
-// index work instead of O(n²) pair evaluations.
+// index work instead of O(n²) pair evaluations. Each row borrows its
+// candidate and ring buffers from a per-build pool, so the scratch is
+// allocated once per worker rather than once per row.
+
+// floorScratch is one row's candidate list and Within ring buffer.
+type floorScratch struct{ cand, ring []int32 }
+
+// newFloorScratchPool returns the scratch pool of one floor-sparse build.
+func newFloorScratchPool() *sync.Pool {
+	return &sync.Pool{New: func() any { return new(floorScratch) }}
+}
 
 // buildWeightsFloorSparse constructs the fixed-power analysis matrix
 // with entries below the contribution floor dropped. Rows whose SINR
@@ -49,22 +60,24 @@ func (m *FixedPower) buildWeightsFloorSparse() {
 		recvIdx = geom.NewGridIndex(m.recvPos, m.opts.CellSize)
 	}
 	invAlpha := 1 / alpha
+	pool := newFloorScratchPool()
 	m.w = nil
 	m.rows = interference.SparseFromRows(n, m.opts.workers(n), func(e int, emit func(int32, float64)) {
+		sc := pool.Get().(*floorScratch)
 		margin := m.signals[e] - betaNoise
 		// a_p(e2 → e) ≥ ε needs gain ≥ ε·margin/β, i.e. the interfering
 		// sender within rFwd of e's receiver (pmax bounds its power).
 		rFwd := math.Pow(beta*m.pmax/(eps*margin), invAlpha)
-		cand := senderIdx.Within(m.recvPos[e], rFwd, m.sendPos, nil)
+		cand, ring := senderIdx.Within(m.recvPos[e], rFwd, m.sendPos, sc.cand[:0], sc.ring)
 		if m.kind == WeightMonotone {
 			// The reverse term a_p(e → e2) is evaluated against e2's
 			// margin; minMargin gives the conservative shared radius for
 			// e's fixed transmit power.
 			rRev := math.Pow(beta*m.powers[e]/(eps*minMargin), invAlpha)
-			cand = recvIdx.Within(m.sendPos[e], rRev, m.recvPos, cand)
+			cand, ring = recvIdx.Within(m.sendPos[e], rRev, m.recvPos, cand, ring)
 		}
 		cand = append(cand, int32(e)) // the unit diagonal is always stored
-		sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
+		slices.Sort(cand)
 		prev := int32(-1)
 		for _, c := range cand {
 			if c == prev {
@@ -91,6 +104,8 @@ func (m *FixedPower) buildWeightsFloorSparse() {
 				emit(c, v)
 			}
 		}
+		sc.cand, sc.ring = cand, ring
+		pool.Put(sc)
 	})
 }
 
@@ -106,13 +121,15 @@ func (m *PowerControl) buildWeightsFloorSparse() {
 	senderIdx := geom.NewGridIndex(m.sendPos, m.opts.CellSize)
 	recvIdx := geom.NewGridIndex(m.recvPos, m.opts.CellSize)
 	scale := math.Pow(2/eps, 1/alpha)
+	pool := newFloorScratchPool()
 	m.w = nil
 	m.rows = interference.SparseFromRows(n, m.opts.workers(n), func(e int, emit func(int32, float64)) {
+		sc := pool.Get().(*floorScratch)
 		radius := m.lens[e] * scale
-		cand := senderIdx.Within(m.recvPos[e], radius, m.sendPos, nil)
-		cand = recvIdx.Within(m.sendPos[e], radius, m.recvPos, cand)
+		cand, ring := senderIdx.Within(m.recvPos[e], radius, m.sendPos, sc.cand[:0], sc.ring)
+		cand, ring = recvIdx.Within(m.sendPos[e], radius, m.recvPos, cand, ring)
 		cand = append(cand, int32(e))
-		sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
+		slices.Sort(cand)
 		dOwn := m.lenAlpha[e]
 		prev := int32(-1)
 		for _, c := range cand {
@@ -144,5 +161,7 @@ func (m *PowerControl) buildWeightsFloorSparse() {
 				emit(c, v)
 			}
 		}
+		sc.cand, sc.ring = cand, ring
+		pool.Put(sc)
 	})
 }

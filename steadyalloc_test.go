@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"dynsched/internal/metrics"
@@ -51,9 +52,10 @@ func simulateAllocs(t *testing.T, slots int64, obs ...SimObserver) uint64 {
 // long run of the same workload isolates the per-slot allocation rate
 // from the fixed start-up and warm-up costs that the
 // BenchmarkDynamicProtocolSlot baseline necessarily amortizes. In
-// steady state the engine (arena, interner), the injection process, and
-// the protocol (free list, recycled executions, emission record) must
-// allocate nothing per slot.
+// steady state the engine (arena), the injection process, and the
+// protocol (free list, recycled executions, emission record) must
+// allocate nothing per slot. This workload injects on a single route,
+// so it cannot see a per-route cost; TestManyRoutesAllocs covers that.
 func TestDynamicProtocolSteadyStateAllocs(t *testing.T) {
 	testenv.SkipIfRace(t)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -90,4 +92,93 @@ func TestDynamicProtocolSteadyStateAllocsTraced(t *testing.T) {
 		t.Errorf("traced steady state allocates %.4f objects/slot (%d extra allocs over %d slots), want ~0",
 			perSlot, extra, long-short)
 	}
+}
+
+// TestManyRoutesAllocs guards the per-route cost the single-route
+// guards above cannot see: 4096 generators, each on its own two-hop
+// route over 256 links, inject about ten packets per route through the
+// dynamic protocol. (The identity model reads routes as link sequences;
+// they need not chain in a graph.) The engine and the protocol keep
+// each packet's path as the process's own slice, so a run's
+// allocations follow its buffers' high-water marks, not the number of
+// distinct routes: a copy or a per-route table entry in either layer
+// costs at least one allocation per route, far above the bound. The
+// processes' paths must also come out of a run, and of a checkpoint
+// resume, unwritten.
+func TestManyRoutesAllocs(t *testing.T) {
+	testenv.SkipIfRace(t)
+	const links, routes, slots = 256, 4096, 1280
+	model := Identity{Links: links}
+	gens := make([]Generator, routes)
+	want := make([]Path, routes)
+	for i := range gens {
+		a := i % links
+		b := (a + 1 + i/links) % links
+		gens[i] = Generator{Choices: []PathChoice{{Path: Path{LinkID(a), LinkID(b)}, P: 1}}}
+		want[i] = Path{LinkID(a), LinkID(b)}
+	}
+	build := func() (*Stochastic, *Protocol) {
+		proc, err := StochasticAtRate(model, gens, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proto, err := NewProtocol(ProtocolConfig{
+			Model: model, Alg: FullParallel{}, M: links, D: 2, Lambda: 0.25, Eps: 0.25,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return proc, proto
+	}
+	checkPaths := func(when string) {
+		t.Helper()
+		for i, g := range gens {
+			if !slices.Equal(g.Choices[0].Path, want[i]) {
+				t.Fatalf("%s: generator %d's path is %v, want %v", when, i, g.Choices[0].Path, want[i])
+			}
+		}
+	}
+
+	proc, proto := build()
+	func() {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Simulate(SimConfig{Slots: slots, Seed: 5}, model, proc, proto)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ProtocolErrors != 0 {
+			t.Fatalf("protocol errors: %d", res.ProtocolErrors)
+		}
+		if res.Injected < 8*routes {
+			t.Fatalf("only %d packets injected, want ≥ %d to cover every route", res.Injected, 8*routes)
+		}
+		allocs := int64(after.Mallocs - before.Mallocs)
+		if allocs*8 > res.Injected {
+			t.Errorf("run over %d routes made %d allocations for %d injected packets, want < %d",
+				routes, allocs, res.Injected, res.Injected/8)
+		}
+		t.Logf("%d allocations, %d injected", allocs, res.Injected)
+	}()
+	checkPaths("after a run")
+
+	var cp *Checkpoint
+	proc, proto = build()
+	cfg := SimConfig{Slots: slots, Seed: 5, Checkpoint: &CheckpointSpec{
+		Every: slots / 2, Sink: func(c *Checkpoint) error { cp = c; return nil },
+	}}
+	if _, err := Simulate(cfg, model, proc, proto); err != nil {
+		t.Fatal(err)
+	}
+	if cp == nil || len(cp.Packets) == 0 {
+		t.Fatal("no checkpoint with packets in flight was captured")
+	}
+	proc, proto = build()
+	cfg = SimConfig{Slots: slots, Seed: 5, Checkpoint: &CheckpointSpec{Resume: cp}}
+	if _, err := Simulate(cfg, model, proc, proto); err != nil {
+		t.Fatal(err)
+	}
+	checkPaths("after a checkpoint resume")
 }
