@@ -16,11 +16,11 @@ import (
 	"dynsched/internal/static"
 )
 
-// ---- One benchmark per paper experiment (see DESIGN.md §4) ----
+// ---- One benchmark per paper experiment (see experiments.All) ----
 //
 // Each bench runs the corresponding experiment at Quick scale; the
-// cmd/experiments binary reproduces the full-scale EXPERIMENTS.md
-// numbers. Benchmarks double as end-to-end regression checks: any error
+// cmd/experiments binary reproduces the full-scale tables
+// (-scale full). Benchmarks double as end-to-end regression checks: any error
 // fails the bench.
 
 func benchExperiment(b *testing.B, id string) {

@@ -232,18 +232,21 @@ func prePlannerRun(s Scenario) (*SimResult, error) {
 	return c.Run(context.Background())
 }
 
-// prePlannerReplicate is the pre-planner Scenario.Replicate: the
-// sim.Replicate worker pool over a per-replication build closure.
+// prePlannerReplicate is the pre-planner Scenario.Replicate as a
+// strictly serial loop: each replication compiles and runs the scenario
+// at its derived seed, folded in replication order.
 func prePlannerReplicate(s Scenario, reps int) (*ReplicateResult, error) {
-	return sim.Replicate(context.Background(), s.simConfig(), reps, func(rep int, seed int64) (sim.RunInput, error) {
+	out := &ReplicateResult{StableAll: true}
+	for r := 0; r < reps; r++ {
 		sc := s
-		sc.Sim.Seed = seed
-		c, err := sc.Compile()
+		sc.Sim.Seed = sim.SubSeed(s.Sim.Seed, r)
+		res, err := prePlannerRun(sc)
 		if err != nil {
-			return sim.RunInput{}, err
+			return nil, err
 		}
-		return sim.RunInput{Model: c.Model, Process: c.Process, Protocol: c.Protocol, Observers: c.Observers}, nil
-	})
+		out.Accumulate(sim.ReplicationOf(r, res))
+	}
+	return out, nil
 }
 
 // prePlannerSweep is the pre-planner Scenario.RunSweep: a strictly

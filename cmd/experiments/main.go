@@ -1,6 +1,7 @@
 // Command experiments reproduces the paper's results: it runs the
-// experiment suite E1–E15 (see DESIGN.md for the index) and prints one
-// table per experiment. Use -markdown to emit the EXPERIMENTS.md body.
+// experiment suite E1–E15 (indexed by experiments.All in
+// internal/experiments) and prints one table per experiment. Use
+// -markdown to emit the tables as Markdown.
 // -parallel N fans independent experiments across N workers; the tables
 // are bit-identical to a serial run at the same seed.
 //

@@ -34,11 +34,12 @@
 // ScenarioByName) and run from cmd/dynsched by name; custom metrics
 // attach as sim.Observer values without touching the engine. The
 // underlying primitives (networks, models, injection processes,
-// protocols, Simulate/Replicate) remain exported below for programs
-// that need to assemble components by hand.
+// protocols, Simulate) remain exported below for programs that need to
+// assemble components by hand; replications run through
+// Scenario.Replicate.
 //
-// See the examples directory for complete programs and DESIGN.md for
-// the system inventory.
+// See the examples directory for complete programs and README.md for
+// the module layout.
 package dynsched
 
 import (
@@ -84,9 +85,6 @@ type Path = netgraph.Path
 // significant network size m = max(|E|, D).
 type Instance = netgraph.Instance
 
-// RoutingTable holds precomputed all-pairs shortest paths.
-type RoutingTable = netgraph.RoutingTable
-
 // NewGraph creates an empty graph with n nodes.
 func NewGraph(n int) *Graph { return netgraph.New(n) }
 
@@ -98,14 +96,8 @@ func GridNetwork(rows, cols int, spacing float64) *Graph {
 // LineNetwork builds n collinear nodes with bidirectional neighbour links.
 func LineNetwork(n int, spacing float64) *Graph { return netgraph.LineNetwork(n, spacing) }
 
-// MACChannelNetwork builds n stations with one link each to a common sink.
-func MACChannelNetwork(n int) *Graph { return netgraph.MACChannel(n) }
-
 // ShortestPath returns a minimum-hop path between two nodes.
 func ShortestPath(g *Graph, u, v NodeID) (Path, bool) { return netgraph.ShortestPath(g, u, v) }
-
-// NewRoutingTable precomputes all-pairs shortest paths.
-func NewRoutingTable(g *Graph) *RoutingTable { return netgraph.NewRoutingTable(g) }
 
 // NewInstance wraps a graph with the path-length bound D.
 func NewInstance(g *Graph, maxPathLen int) *Instance { return netgraph.NewInstance(g, maxPathLen) }
@@ -127,25 +119,8 @@ type MAC = interference.AllOnes
 type Lossy = interference.Lossy
 
 // Measure returns I = ‖W·R‖∞ for a request vector. Models that expose
-// their matrix in CSR form (SparseWeights) are evaluated in O(nnz).
+// their matrix in CSR form are evaluated in O(nnz).
 func Measure(m Model, r []int) float64 { return interference.Measure(m, r) }
-
-// SparseWeights is a CSR (compressed sparse row) weight matrix — the
-// flat-array fast path behind Measure and IncrementalMeasure.
-type SparseWeights = interference.Sparse
-
-// WeightRows extracts a model's weight matrix in CSR form (returned
-// directly when the model precomputes it).
-func WeightRows(m Model) *SparseWeights { return interference.SparseFromModel(m) }
-
-// IncrementalMeasure maintains ‖W·R‖∞ under single-request Add/Remove
-// updates in O(nnz(column)) per update — the sliding-window accountant
-// for callers that mutate a request vector one packet at a time.
-type IncrementalMeasure = interference.IncrementalMeasure
-
-// NewIncrementalMeasure builds an incremental measure accumulator for
-// the model, starting from the empty request vector.
-func NewIncrementalMeasure(m Model) *IncrementalMeasure { return interference.NewIncremental(m) }
 
 // SINRParams are the physical constants of the SINR model.
 type SINRParams = sinr.Params
@@ -206,21 +181,9 @@ func DoublingDimension(dist [][]float64) float64 { return geom.DoublingDimension
 // ConflictGraph is an undirected conflict relation over links.
 type ConflictGraph = conflict.Graph
 
-// NewConflictGraph creates a conflict graph over n links.
-func NewConflictGraph(n int) *ConflictGraph { return conflict.NewGraph(n) }
-
 // NodeConstraintConflicts builds the conflict graph in which links
 // sharing an endpoint conflict.
 func NodeConstraintConflicts(g *Graph) *ConflictGraph { return conflict.NodeConstraint(g) }
-
-// Distance2MatchingConflicts builds the distance-2 matching conflict graph.
-func Distance2MatchingConflicts(g *Graph) *ConflictGraph { return conflict.Distance2Matching(g) }
-
-// ProtocolModelConflicts builds the protocol-model conflict graph with
-// guard parameter delta.
-func ProtocolModelConflicts(g *Graph, delta float64) *ConflictGraph {
-	return conflict.ProtocolModel(g, delta)
-}
 
 // NewConflictModel adapts a conflict graph and ordering (nil = degeneracy
 // order) into an interference model per Section 7.2.
@@ -297,19 +260,6 @@ type PathChoice = inject.PathChoice
 // Stochastic is the finite-user i.i.d. injection process of Section 2.1.
 type Stochastic = inject.Stochastic
 
-// Adversary is a (w, λ)-bounded window-adversary injection process.
-type Adversary = inject.Adversary
-
-// AdversaryTiming places a pattern adversary's packets in its window.
-type AdversaryTiming = inject.Timing
-
-// Adversary timings.
-const (
-	TimingBurst    = inject.TimingBurst
-	TimingSpread   = inject.TimingSpread
-	TimingSawtooth = inject.TimingSawtooth
-)
-
 // NewStochastic builds a stochastic process and computes its rate.
 func NewStochastic(m Model, gens []Generator) (*Stochastic, error) {
 	return inject.NewStochastic(m, gens)
@@ -318,17 +268,6 @@ func NewStochastic(m Model, gens []Generator) (*Stochastic, error) {
 // StochasticAtRate scales generators to an exact injection rate λ.
 func StochasticAtRate(m Model, gens []Generator, lambda float64) (*Stochastic, error) {
 	return inject.StochasticAtRate(m, gens, lambda)
-}
-
-// NewAdversary builds a deterministic (w, λ)-bounded pattern adversary.
-func NewAdversary(m Model, paths []Path, w int, lambda float64, timing AdversaryTiming) (Adversary, error) {
-	return inject.NewPattern(m, paths, w, lambda, timing)
-}
-
-// NewRotatingAdversary builds a (w, λ)-bounded adversary that spends
-// each window's whole budget on a single path, cycling across windows.
-func NewRotatingAdversary(m Model, paths []Path, w int, lambda float64, timing AdversaryTiming) (Adversary, error) {
-	return inject.NewRotating(m, paths, w, lambda, timing)
 }
 
 // InjectionTrace is a recorded arrival sequence replayable across runs,
@@ -521,27 +460,9 @@ func SupportsCheckpoint(m Model, proc InjectionProcess, proto SimProtocol) bool 
 	return sim.SupportsCheckpoint(m, proc, proto)
 }
 
-// ReplicateInput bundles one replication's components.
-type ReplicateInput = sim.RunInput
-
-// ReplicateResult aggregates independent replications.
+// ReplicateResult aggregates independent replications — the result of
+// Scenario.Replicate and of a replication plan.
 type ReplicateResult = sim.ReplicateResult
-
-// Replicate runs independent replications on a worker pool of
-// cfg.Parallel goroutines (0 = GOMAXPROCS) with distinct derived seeds
-// and aggregates the headline metrics. Results are bit-identical for
-// every pool size. It is a thin wrapper over ReplicateContext with a
-// background context.
-func Replicate(cfg SimConfig, reps int, build func(rep int, seed int64) (ReplicateInput, error)) (*ReplicateResult, error) {
-	return sim.Replicate(context.Background(), cfg, reps, build)
-}
-
-// ReplicateContext is Replicate with cancellation/deadline support:
-// when ctx is cancelled mid-way it returns the completed replications
-// together with an error wrapping the context's error.
-func ReplicateContext(ctx context.Context, cfg SimConfig, reps int, build func(rep int, seed int64) (ReplicateInput, error)) (*ReplicateResult, error) {
-	return sim.Replicate(ctx, cfg, reps, build)
-}
 
 // SubSeed derives the seed of shard i from a base seed via a SplitMix64
 // step — well-separated deterministic streams for parallel shards.

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+
 	"dynsched/internal/core"
 	"dynsched/internal/interference"
 	"dynsched/internal/netgraph"
+	"dynsched/internal/plan"
 	"dynsched/internal/sim"
 	"dynsched/internal/static"
 )
@@ -47,29 +50,42 @@ func E3Latency(ctx context.Context, scale Scale, seed int64) (*Table, error) {
 			continue
 		}
 		// The frame length is deterministic in the configuration; solve it
-		// once up front (the replication builder runs concurrently).
+		// once up front (the replications run concurrently).
 		frameT, err := core.SolveFrameLength(static.FullParallel{}, model.NumLinks(), inst.M(), lambda, 0.25)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := sim.Replicate(ctx, sim.Config{
-			Slots: slots, Seed: seed + int64(d), WarmupFrac: 0.2,
-		}, reps, func(r int, repSeed int64) (sim.RunInput, error) {
+		// One planner unit per replication, each at its own derived seed,
+		// folded back in replication order.
+		units := make([]plan.Unit, reps)
+		for r := range units {
+			units[r] = plan.Unit{Index: r, Label: fmt.Sprintf("d=%d rep %d", d, r)}
+		}
+		out, err := plan.Execute(ctx, units, plan.Options[sim.Replication]{}, func(uctx context.Context, u plan.Unit) (sim.Replication, error) {
+			repSeed := sim.SubSeed(seed+int64(d), u.Index)
 			proto, err := core.New(core.Config{
 				Model: model, Alg: static.FullParallel{}, M: inst.M(),
 				Lambda: lambda, Eps: 0.25, Seed: repSeed,
 			})
 			if err != nil {
-				return sim.RunInput{}, err
+				return sim.Replication{}, err
 			}
 			proc, err := multiHopGenerators(model, []netgraph.Path{path}, lambda)
 			if err != nil {
-				return sim.RunInput{}, err
+				return sim.Replication{}, err
 			}
-			return sim.RunInput{Model: model, Process: proc, Protocol: proto}, nil
+			res, err := sim.Run(uctx, sim.Config{Slots: slots, Seed: repSeed, WarmupFrac: 0.2}, model, proc, proto)
+			if err != nil {
+				return sim.Replication{}, err
+			}
+			return sim.ReplicationOf(u.Index, res), nil
 		})
 		if err != nil {
 			return nil, err
+		}
+		rep := &sim.ReplicateResult{StableAll: true}
+		for _, run := range out.Values {
+			rep.Accumulate(run)
 		}
 		mean := rep.MeanLat.Mean()
 		tbl.AddRow(

@@ -1,5 +1,5 @@
-// Package experiments contains one runner per paper claim (E1–E15 in
-// DESIGN.md). Each runner builds its workload, executes the relevant
+// Package experiments contains one runner per paper claim (E1–E15,
+// indexed by All). Each runner builds its workload, executes the relevant
 // protocols or algorithms, and returns a Table whose rows mirror what
 // the paper's theorems predict — schedule-length scaling, stability
 // frontiers, competitive ratios, latency growth, and the lower-bound
@@ -17,8 +17,8 @@ import (
 type Scale int
 
 // Experiment scales. Quick keeps every experiment under roughly a
-// second for use in benchmarks and CI; Full reproduces the numbers
-// recorded in EXPERIMENTS.md.
+// second for use in benchmarks and CI; Full runs the paper-scale
+// workloads (cmd/experiments -scale full).
 const (
 	Quick Scale = iota + 1
 	Full

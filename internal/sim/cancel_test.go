@@ -67,48 +67,3 @@ func TestRunDeadlineExceeded(t *testing.T) {
 		t.Fatal("no partial result")
 	}
 }
-
-// TestReplicateCancelled cancels mid-replication on a parallel pool and
-// checks the partial aggregate comes back with a wrapping error.
-func TestReplicateCancelled(t *testing.T) {
-	m := interference.Identity{Links: 2}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	res, err := Replicate(ctx, Config{Slots: 1 << 40, Seed: 5, Parallel: 4}, 64,
-		func(rep int, seed int64) (RunInput, error) {
-			return RunInput{Model: m, Process: singleHopProcess(t, m, 2, 0.1), Protocol: newFifoProto(2)}, nil
-		})
-	if err == nil {
-		t.Fatal("cancelled replicate returned no error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v does not wrap context.Canceled", err)
-	}
-	if res == nil {
-		t.Fatal("no partial replicate result")
-	}
-	if len(res.Runs) >= 64 {
-		t.Errorf("expected a strict subset of replications, got %d/64", len(res.Runs))
-	}
-}
-
-// TestReplicateCompletesWithAliveContext pins that a live context
-// changes nothing: all replications complete and aggregate.
-func TestReplicateCompletesWithAliveContext(t *testing.T) {
-	m := interference.Identity{Links: 2}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	res, err := Replicate(ctx, Config{Slots: 500, Seed: 6, Parallel: 2}, 3,
-		func(rep int, seed int64) (RunInput, error) {
-			return RunInput{Model: m, Process: singleHopProcess(t, m, 2, 0.1), Protocol: newFifoProto(2)}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Runs) != 3 {
-		t.Fatalf("got %d runs, want 3", len(res.Runs))
-	}
-}

@@ -38,7 +38,7 @@ type Delivery struct {
 
 // Observer receives simulation lifecycle events. Implementations are
 // driven from the engine goroutine only, so they need no locking; a
-// replicated run gets a fresh observer per replication (see RunInput).
+// replicated run gets a fresh observer per replication.
 type Observer interface {
 	// OnInject is called after the protocol received the slot's injected
 	// packets (only on slots that inject at least one). The pkts slice

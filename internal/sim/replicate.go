@@ -1,26 +1,6 @@
 package sim
 
-import (
-	"context"
-	"errors"
-	"fmt"
-
-	"dynsched/internal/inject"
-	"dynsched/internal/interference"
-	"dynsched/internal/par"
-	"dynsched/internal/stats"
-)
-
-// RunInput bundles one replication's independently constructed
-// components. Replications must not share mutable state.
-type RunInput struct {
-	Model    interference.Model
-	Process  inject.Process
-	Protocol Protocol
-	// Observers are extra observers attached to this replication's run;
-	// build must return fresh instances per replication.
-	Observers []Observer
-}
+import "dynsched/internal/stats"
 
 // Replication is one run's headline numbers.
 type Replication struct {
@@ -35,9 +15,10 @@ type Replication struct {
 
 // ReplicateResult aggregates independent runs. Runs holds one entry per
 // completed replication, sorted by replication index; a cancelled
-// Replicate returns the completed subset alongside the error — on a
-// parallel pool that subset need not be a prefix, so consumers must
-// read Replication.Rep rather than assume Runs[i] is replication i.
+// replication plan (Scenario.Replicate, a daemon replicate job) returns
+// the completed subset alongside the error — on a parallel pool that
+// subset need not be a prefix, so consumers must read Replication.Rep
+// rather than assume Runs[i] is replication i.
 type ReplicateResult struct {
 	Runs      []Replication `json:"runs"`
 	StableAll bool          `json:"stableAll"`
@@ -47,8 +28,7 @@ type ReplicateResult struct {
 
 // ReplicationOf summarises one completed run as its replication row.
 // It is the single definition of which headline numbers a replication
-// carries — Replicate and the execution planner both assemble their
-// aggregates from it.
+// carries — every replication aggregate is assembled from it.
 func ReplicationOf(rep int, res *Result) Replication {
 	return Replication{
 		Rep:       rep,
@@ -69,78 +49,6 @@ func (r *ReplicateResult) Accumulate(run Replication) {
 	r.StableAll = r.StableAll && run.Stable
 	r.MeanQ.Add(run.MeanQ)
 	r.MeanLat.Add(run.MeanLat)
-}
-
-// Replicate runs `reps` independent simulations on a worker pool of
-// cfg.Parallel goroutines (0 = GOMAXPROCS) and aggregates the headline
-// metrics. Each replication r derives its own seed SubSeed(cfg.Seed, r),
-// so the per-shard RNG streams share no state and the results —
-// including their order — are bit-identical for every pool size, serial
-// included. build is called once per replication with the replication
-// index and its seed, and must return fresh instances (replications
-// must not share mutable state; a model's SlotResolver scratch and any
-// extra observers, for example, are per-run).
-//
-// A nil ctx means context.Background(). When ctx is cancelled mid-way,
-// Replicate stops starting new replications, aggregates the ones that
-// completed, and returns that partial result with an error wrapping the
-// context's error.
-func Replicate(ctx context.Context, cfg Config, reps int, build func(rep int, seed int64) (RunInput, error)) (*ReplicateResult, error) {
-	if reps < 1 {
-		return nil, fmt.Errorf("sim: reps %d must be positive", reps)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	runs := make([]Replication, reps)
-	done := make([]bool, reps)
-	errs := make([]error, reps)
-	par.For(ctx, reps, cfg.Parallel, func(r int) {
-		seed := SubSeed(cfg.Seed, r)
-		in, err := build(r, seed)
-		if err != nil {
-			errs[r] = err
-			return
-		}
-		c := cfg
-		c.Seed = seed
-		res, err := Run(ctx, c, in.Model, in.Process, in.Protocol, in.Observers...)
-		if err != nil {
-			errs[r] = err
-			return
-		}
-		runs[r] = ReplicationOf(r, res)
-		done[r] = true
-	})
-
-	var firstErr error
-	for _, err := range errs {
-		if err != nil && !isCancellation(err) {
-			firstErr = err
-			break
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	out := &ReplicateResult{StableAll: true}
-	for r := range runs {
-		if !done[r] {
-			continue
-		}
-		out.Accumulate(runs[r])
-	}
-	if err := ctx.Err(); err != nil {
-		return out, fmt.Errorf("sim: replicate cancelled with %d of %d replications completed: %w", len(out.Runs), reps, err)
-	}
-	return out, nil
-}
-
-// isCancellation reports whether err stems from context cancellation or
-// deadline expiry rather than a genuine simulation failure.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // SubSeed derives the seed of shard i from a base seed via a SplitMix64

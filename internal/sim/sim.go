@@ -67,21 +67,15 @@ type Config struct {
 	WarmupFrac float64
 	// MaxLatencySlots sizes the latency histogram (0 = Slots).
 	MaxLatencySlots int64
-	// Parallel caps the worker pool that Replicate (not Run) fans
-	// replications across: 0 means GOMAXPROCS, 1 runs serially inline.
-	// It does not size model construction inside a replication; that
-	// follows ResolveParallelism. Results are bit-identical for every
-	// value.
-	Parallel int
 	// ResolveParallelism requests an intra-slot worker count from models
 	// that support parallel slot resolution (interference
 	// ParallelResolver): 0 defers to the model's own default (typically
 	// GOMAXPROCS), 1 forces strictly serial resolution, n uses n
 	// workers. Models compiled from a scenario take the same value as
 	// their construction worker count (sinr.Options.Parallelism), so 1
-	// also builds their cross tables and weight matrices serially. Like
-	// Parallel it is a pure execution knob — results are bit-identical
-	// for every value — so it is excluded from scenario hashes.
+	// also builds their cross tables and weight matrices serially. It is
+	// a pure execution knob — results are bit-identical for every value
+	// — so it is excluded from scenario hashes.
 	ResolveParallelism int
 	// Checkpoint configures periodic state capture and resume (nil
 	// disables both). Resumed runs are bit-identical to uninterrupted

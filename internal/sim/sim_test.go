@@ -218,44 +218,6 @@ func TestWarmupExcludesEarlyLatencies(t *testing.T) {
 	}
 }
 
-func TestReplicate(t *testing.T) {
-	m := interference.Identity{Links: 3}
-	res, err := Replicate(context.Background(), Config{Slots: 2000, Seed: 500}, 4,
-		func(rep int, seed int64) (RunInput, error) {
-			gens := make([]inject.Generator, 3)
-			for i := range gens {
-				gens[i] = inject.Generator{Choices: []inject.PathChoice{
-					{Path: netgraph.Path{netgraph.LinkID(i)}, P: 0.3},
-				}}
-			}
-			proc, err := inject.NewStochastic(m, gens)
-			if err != nil {
-				return RunInput{}, err
-			}
-			return RunInput{Model: m, Process: proc, Protocol: newFifoProto(3)}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Runs) != 4 {
-		t.Fatalf("got %d runs", len(res.Runs))
-	}
-	if !res.StableAll {
-		t.Error("uncontended identity runs unstable")
-	}
-	if res.MeanQ.N() != 4 || res.MeanLat.N() != 4 {
-		t.Error("aggregation incomplete")
-	}
-	// Distinct seeds must give distinct injections (with overwhelming probability).
-	if res.Runs[0].Injected == res.Runs[1].Injected &&
-		res.Runs[1].Injected == res.Runs[2].Injected {
-		t.Error("replications suspiciously identical")
-	}
-	if _, err := Replicate(context.Background(), Config{Slots: 100}, 0, nil); err == nil {
-		t.Error("zero reps accepted")
-	}
-}
-
 func TestPerLinkMetricsAndFairness(t *testing.T) {
 	m := interference.Identity{Links: 3}
 	proc := singleHopProcess(t, m, 3, 0.3)

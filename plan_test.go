@@ -319,6 +319,42 @@ func TestPlanReplicateCancellation(t *testing.T) {
 	}
 }
 
+// TestPlanReplicateCancellationMidRun cancels a serial replication plan
+// from its completion stream after the first unit: the partial
+// aggregate keeps the completed replications, each labelled with the
+// unit it came from, and the error wraps context.Canceled.
+func TestPlanReplicateCancellationMidRun(t *testing.T) {
+	const reps = 4
+	sc := planScenario("rep-cancel-mid")
+	sc.Sim.Parallel = 1
+	p, err := sc.Plan(reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pr, err := p.Execute(ctx, ExecOptions{OnUnit: func(PlanUnit, bool, error, PlanProgress) { cancel() }})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v does not wrap context.Canceled", err)
+	}
+	runs := pr.Replicate.Runs
+	if len(runs) == 0 || len(runs) >= reps {
+		t.Fatalf("got %d of %d replications, want a non-empty strict subset", len(runs), reps)
+	}
+	for _, run := range runs {
+		if !pr.Units[run.Rep].Done {
+			t.Fatalf("replication %d names a unit that did not complete", run.Rep)
+		}
+		res, err := p.Units[run.Rep].Scenario.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sim.ReplicationOf(run.Rep, res); run != want {
+			t.Errorf("replication %d = %+v, its unit's own run gives %+v", run.Rep, run, want)
+		}
+	}
+}
+
 // TestSimResultRemarshalStable pins the invariant the per-unit result
 // cache rests on: unmarshal followed by marshal reproduces the exact
 // byte sequence, so a cache-served unit result embedded into a plan

@@ -319,7 +319,8 @@ func WithWarmup(frac float64) ScenarioOption { return func(s *Scenario) { s.Sim.
 // WithSampleEvery sets the queue-sampling period.
 func WithSampleEvery(n int64) ScenarioOption { return func(s *Scenario) { s.Sim.SampleEvery = n } }
 
-// WithParallel caps the Replicate worker pool.
+// WithParallel caps the plan worker pool that runs a scenario's
+// replications, sweep points and grid points.
 func WithParallel(n int) ScenarioOption { return func(s *Scenario) { s.Sim.Parallel = n } }
 
 // WithResolveParallelism sets the intra-slot interference-resolution
@@ -507,7 +508,6 @@ func (s Scenario) simConfig() SimConfig {
 		Seed:               s.Sim.Seed,
 		WarmupFrac:         s.Sim.WarmupFrac,
 		SampleEvery:        s.Sim.SampleEvery,
-		Parallel:           s.Sim.Parallel,
 		ResolveParallelism: s.Sim.ResolveParallelism,
 	}
 }
