@@ -48,25 +48,17 @@ import (
 )
 
 func main() {
-	o := cli.Options{
-		Model: "identity", Topology: "auto", Alg: "auto",
-		Nodes: 8, Links: 16, Hops: 4,
-		Lambda: 0.3, Eps: 0.25, Seed: 1, Window: 64,
-	}
-	cli.RegisterWorkloadFlags(flag.CommandLine, &o)
+	sc := flagDefaults()
+	registerWorkloadFlags(flag.CommandLine, &sc)
 	var (
-		slots         int64
 		queueCSV      string
 		reps          int
-		parallel      int
 		scenarioName  string
 		listScenarios bool
 		asJSON        bool
 	)
-	flag.Int64Var(&slots, "slots", 50000, "slots to simulate")
 	flag.StringVar(&queueCSV, "queue-csv", "", "write the sampled queue-length series to this CSV file")
 	flag.IntVar(&reps, "reps", 1, "independent replications with derived sub-seeds (1 = single run)")
-	flag.IntVar(&parallel, "parallel", 0, "worker count for -reps (0 = all CPUs, 1 = serial); results are bit-identical either way")
 	flag.StringVar(&scenarioName, "scenario", "", "run a registered scenario by name (see -list-scenarios)")
 	flag.BoolVar(&listScenarios, "list-scenarios", false, "list registered scenarios and exit")
 	flag.BoolVar(&asJSON, "json", false, "emit the result as JSON instead of the text report")
@@ -81,7 +73,7 @@ func main() {
 		return
 	}
 
-	sc, err := resolveScenario(o, slots, parallel, scenarioName, *spec)
+	sc, err := resolveScenario(flag.CommandLine, sc, scenarioName, *spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dynsched:", err)
 		os.Exit(1)
@@ -205,18 +197,41 @@ func runSweep(ctx context.Context, sc dynsched.Scenario, asJSON bool) error {
 	return runErr
 }
 
+// flagDefaults is the flag-composed workload before any flag is
+// parsed: every workload flag's default.
+func flagDefaults() dynsched.Scenario {
+	return dynsched.NewScenario("cli", dynsched.WithDescription("composed from cmd/dynsched flags"))
+}
+
+// registerWorkloadFlags registers the workload flags onto fs, writing
+// into sc. Each flag's default is sc's field, except -adversary, whose
+// empty default stands for the stochastic pattern.
+func registerWorkloadFlags(fs *flag.FlagSet, sc *dynsched.Scenario) {
+	fs.StringVar(&sc.Model.Kind, "model", sc.Model.Kind, "interference model: identity, mac, sinr-linear, sinr-uniform, sinr-power-control")
+	fs.StringVar(&sc.Network.Topology, "topology", sc.Network.Topology, "topology: line, grid, grid-convergecast, pairs, nested, mac, auto")
+	fs.StringVar(&sc.Protocol.Alg, "alg", sc.Protocol.Alg, "static algorithm: full-parallel, decay, decay-adaptive, spread, densify, trivial, mac-decay, rrw, backoff, greedy-pc, auto")
+	fs.IntVar(&sc.Network.Nodes, "nodes", sc.Network.Nodes, "node count (line/grid topologies)")
+	fs.IntVar(&sc.Network.Links, "links", sc.Network.Links, "link count (pairs/nested/mac topologies)")
+	fs.IntVar(&sc.Network.Hops, "hops", sc.Network.Hops, "path length for multi-hop workloads")
+	fs.Float64Var(&sc.Traffic.Lambda, "lambda", sc.Traffic.Lambda, "injection rate in measure units per slot")
+	fs.Float64Var(&sc.Protocol.Eps, "eps", sc.Protocol.Eps, "protocol headroom ε")
+	fs.Int64Var(&sc.Sim.Seed, "seed", sc.Sim.Seed, "random seed")
+	fs.StringVar(&sc.Traffic.Pattern, "adversary", "", "adversarial timing: burst, spread, sawtooth, rotating (empty = stochastic)")
+	fs.IntVar(&sc.Traffic.Window, "window", sc.Traffic.Window, "adversary window length w")
+	fs.Float64Var(&sc.Model.Loss, "loss", sc.Model.Loss, "independent per-transmission loss probability")
+	fs.IntVar(&sc.Protocol.Frame, "frame", sc.Protocol.Frame, "frame length T override (0 = solve)")
+	fs.BoolVar(&sc.Protocol.DisableDelays, "no-delays", sc.Protocol.DisableDelays, "disable the adversarial random initial delays (ablation)")
+	fs.IntVar(&sc.Sim.ResolveParallelism, "resolve-parallelism", sc.Sim.ResolveParallelism, "intra-slot interference-resolution workers (0 = all CPUs, 1 = serial); results are bit-identical at every value")
+	fs.Int64Var(&sc.Sim.Slots, "slots", sc.Sim.Slots, "slots to simulate")
+	fs.IntVar(&sc.Sim.Parallel, "parallel", sc.Sim.Parallel, "worker count for -reps (0 = all CPUs, 1 = serial); results are bit-identical either way")
+}
+
 // resolveScenario builds the scenario to run: a registered one by name,
-// a JSON document, or the flag-composed workload. Explicitly set
-// -slots/-seed/-lambda/-eps flags override a named or file scenario.
-func resolveScenario(o cli.Options, slots int64, parallel int, name, specPath string) (dynsched.Scenario, error) {
-	fromFlags := dynsched.Scenario{
-		Name:        "cli",
-		Description: "composed from cmd/dynsched flags",
-		Network:     dynsched.NetworkSpec{Topology: o.Topology, Nodes: o.Nodes, Links: o.Links, Hops: o.Hops},
-		Model:       dynsched.ModelSpec{Kind: o.Model, Loss: o.LossP},
-		Traffic:     trafficSpec(o),
-		Protocol:    dynsched.ProtocolSpec{Alg: o.Alg, Eps: o.Eps, Frame: o.Frame, DisableDelays: o.DisableDelays},
-		Sim:         dynsched.SimSpec{Slots: slots, Seed: o.Seed, WarmupFrac: 0.1, Parallel: parallel},
+// a JSON document, or the flag-composed workload. Every workload flag
+// set on fs overrides a named or file scenario.
+func resolveScenario(fs *flag.FlagSet, fromFlags dynsched.Scenario, name, specPath string) (dynsched.Scenario, error) {
+	if fromFlags.Traffic.Pattern == "" {
+		fromFlags.Traffic.Pattern = "stochastic"
 	}
 	switch {
 	case name != "" && specPath != "":
@@ -226,7 +241,7 @@ func resolveScenario(o cli.Options, slots int64, parallel int, name, specPath st
 		if !ok {
 			return dynsched.Scenario{}, fmt.Errorf("unknown scenario %q (see -list-scenarios)", name)
 		}
-		return applyOverrides(sc, fromFlags, parallel), nil
+		return applyOverrides(fs, sc, fromFlags), nil
 	case specPath != "":
 		data, err := os.ReadFile(specPath)
 		if err != nil {
@@ -236,49 +251,40 @@ func resolveScenario(o cli.Options, slots int64, parallel int, name, specPath st
 		if err != nil {
 			return dynsched.Scenario{}, err
 		}
-		return applyOverrides(sc, fromFlags, parallel), nil
+		return applyOverrides(fs, sc, fromFlags), nil
 	default:
 		return fromFlags, nil
 	}
 }
 
-func trafficSpec(o cli.Options) dynsched.TrafficSpec {
-	pattern := "stochastic"
-	if o.Adv != "" {
-		pattern = o.Adv
-	}
-	return dynsched.TrafficSpec{Pattern: pattern, Lambda: o.Lambda, Window: o.Window}
-}
-
-// applyOverrides lets every explicitly set flag override a loaded
+// applyOverrides lets every workload flag set on fs override a loaded
 // scenario, so `-scenario X -slots 1000 -lambda 0.5` works as expected
 // and no flag is silently ignored.
-func applyOverrides(sc, fromFlags dynsched.Scenario, parallel int) dynsched.Scenario {
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+func applyOverrides(fs *flag.FlagSet, sc, fromFlags dynsched.Scenario) dynsched.Scenario {
 	apply := map[string]func(){
-		"model":     func() { sc.Model.Kind = fromFlags.Model.Kind },
-		"loss":      func() { sc.Model.Loss = fromFlags.Model.Loss },
-		"topology":  func() { sc.Network.Topology = fromFlags.Network.Topology },
-		"nodes":     func() { sc.Network.Nodes = fromFlags.Network.Nodes },
-		"links":     func() { sc.Network.Links = fromFlags.Network.Links },
-		"hops":      func() { sc.Network.Hops = fromFlags.Network.Hops },
-		"lambda":    func() { sc.Traffic.Lambda = fromFlags.Traffic.Lambda },
-		"adversary": func() { sc.Traffic.Pattern = fromFlags.Traffic.Pattern },
-		"window":    func() { sc.Traffic.Window = fromFlags.Traffic.Window },
-		"alg":       func() { sc.Protocol.Alg = fromFlags.Protocol.Alg },
-		"eps":       func() { sc.Protocol.Eps = fromFlags.Protocol.Eps },
-		"frame":     func() { sc.Protocol.Frame = fromFlags.Protocol.Frame },
-		"no-delays": func() { sc.Protocol.DisableDelays = fromFlags.Protocol.DisableDelays },
-		"slots":     func() { sc.Sim.Slots = fromFlags.Sim.Slots },
-		"seed":      func() { sc.Sim.Seed = fromFlags.Sim.Seed },
-		"parallel":  func() { sc.Sim.Parallel = parallel },
+		"model":               func() { sc.Model.Kind = fromFlags.Model.Kind },
+		"loss":                func() { sc.Model.Loss = fromFlags.Model.Loss },
+		"topology":            func() { sc.Network.Topology = fromFlags.Network.Topology },
+		"nodes":               func() { sc.Network.Nodes = fromFlags.Network.Nodes },
+		"links":               func() { sc.Network.Links = fromFlags.Network.Links },
+		"hops":                func() { sc.Network.Hops = fromFlags.Network.Hops },
+		"lambda":              func() { sc.Traffic.Lambda = fromFlags.Traffic.Lambda },
+		"adversary":           func() { sc.Traffic.Pattern = fromFlags.Traffic.Pattern },
+		"window":              func() { sc.Traffic.Window = fromFlags.Traffic.Window },
+		"alg":                 func() { sc.Protocol.Alg = fromFlags.Protocol.Alg },
+		"eps":                 func() { sc.Protocol.Eps = fromFlags.Protocol.Eps },
+		"frame":               func() { sc.Protocol.Frame = fromFlags.Protocol.Frame },
+		"no-delays":           func() { sc.Protocol.DisableDelays = fromFlags.Protocol.DisableDelays },
+		"slots":               func() { sc.Sim.Slots = fromFlags.Sim.Slots },
+		"seed":                func() { sc.Sim.Seed = fromFlags.Sim.Seed },
+		"parallel":            func() { sc.Sim.Parallel = fromFlags.Sim.Parallel },
+		"resolve-parallelism": func() { sc.Sim.ResolveParallelism = fromFlags.Sim.ResolveParallelism },
 	}
-	for name, fn := range apply {
-		if set[name] {
+	fs.Visit(func(f *flag.Flag) {
+		if fn, ok := apply[f.Name]; ok {
 			fn()
 		}
-	}
+	})
 	return sc
 }
 

@@ -1,7 +1,8 @@
-// Shared flag and signal handling for the cmd/ binaries, so the two
-// commands register identical workload flags and react to Ctrl-C the
-// same way: the first signal cancels the run context (simulations stop
-// promptly with partial results), a second one kills the process.
+// Package cli holds the flag and signal handling the cmd/ binaries
+// share: dynschedd's service flags (ServerOptions, RegisterServerFlags)
+// and SignalContext, so every command reacts to Ctrl-C the same way:
+// the first signal cancels the run context (simulations stop promptly
+// with partial results), a second one kills the process.
 package cli
 
 import (
@@ -12,26 +13,6 @@ import (
 	"syscall"
 	"time"
 )
-
-// RegisterWorkloadFlags registers the workload-construction flags onto
-// fs, writing into o. Callers set the defaults by pre-filling o.
-func RegisterWorkloadFlags(fs *flag.FlagSet, o *Options) {
-	fs.StringVar(&o.Model, "model", o.Model, "interference model: identity, mac, sinr-linear, sinr-uniform, sinr-power-control")
-	fs.StringVar(&o.Topology, "topology", o.Topology, "topology: line, grid, grid-convergecast, pairs, nested, mac, auto")
-	fs.StringVar(&o.Alg, "alg", o.Alg, "static algorithm: full-parallel, decay, decay-adaptive, spread, densify, trivial, mac-decay, rrw, backoff, greedy-pc, auto")
-	fs.IntVar(&o.Nodes, "nodes", o.Nodes, "node count (line/grid topologies)")
-	fs.IntVar(&o.Links, "links", o.Links, "link count (pairs/nested/mac topologies)")
-	fs.IntVar(&o.Hops, "hops", o.Hops, "path length for multi-hop workloads")
-	fs.Float64Var(&o.Lambda, "lambda", o.Lambda, "injection rate in measure units per slot")
-	fs.Float64Var(&o.Eps, "eps", o.Eps, "protocol headroom ε")
-	fs.Int64Var(&o.Seed, "seed", o.Seed, "random seed")
-	fs.StringVar(&o.Adv, "adversary", o.Adv, "adversarial timing: burst, spread, sawtooth, rotating (empty = stochastic)")
-	fs.IntVar(&o.Window, "window", o.Window, "adversary window length w")
-	fs.Float64Var(&o.LossP, "loss", o.LossP, "independent per-transmission loss probability")
-	fs.IntVar(&o.Frame, "frame", o.Frame, "frame length T override (0 = solve)")
-	fs.BoolVar(&o.DisableDelays, "no-delays", o.DisableDelays, "disable the adversarial random initial delays (ablation)")
-	fs.IntVar(&o.ResolveParallelism, "resolve-parallelism", o.ResolveParallelism, "intra-slot interference-resolution workers (0 = all CPUs, 1 = serial); results are bit-identical at every value")
-}
 
 // ServerOptions mirror cmd/dynschedd's flags: where to listen and how
 // the job queue, worker pool and result cache are sized.

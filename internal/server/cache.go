@@ -39,9 +39,7 @@ func resultKey(hash string) string {
 // served or parsed. Entries live in memory up to a bounded count with
 // FIFO eviction; with a spill directory configured, every entry is also
 // written to disk and evicted or restarted-over entries are re-served
-// from there. Directories written by pre-compression daemons are read
-// transparently: a plain <key>.json spill file serves exactly like a
-// compressed one. The disk tier is itself bounded by an entry cap with
+// from there. The disk tier is itself bounded by an entry cap with
 // oldest-modification-time eviction, so a long-lived daemon cannot grow
 // its spill directory without bound. Because simulations are
 // deterministic in their spec (seed included), a cached document is
@@ -65,8 +63,7 @@ type Cache struct {
 	disk    map[string]diskEntry
 	// rawBytes/compBytes track the spill tier's size: the bytes the
 	// stored documents decompress to vs what they occupy on disk (the
-	// dynsched_cache_disk_bytes gauge pair; equal for legacy plain
-	// files).
+	// dynsched_cache_disk_bytes gauge pair).
 	rawBytes  int64
 	compBytes int64
 
@@ -75,10 +72,9 @@ type Cache struct {
 	m *cacheMetrics
 }
 
-// diskEntry is the bookkeeping for one spill file: its format and the
-// byte sizes feeding the disk-bytes gauges.
+// diskEntry is the bookkeeping for one spill file: the byte sizes
+// feeding the disk-bytes gauges.
 type diskEntry struct {
-	gz   bool
 	raw  int64
 	comp int64
 }
@@ -142,23 +138,16 @@ func NewCache(max int, dir string, diskMax int) *Cache {
 	if dir != "" {
 		if des, err := os.ReadDir(dir); err == nil {
 			for _, de := range des {
-				name := de.Name()
+				hash, ok := strings.CutSuffix(de.Name(), ".json.gz")
+				if !ok {
+					continue
+				}
 				info, err := de.Info()
 				if err != nil {
 					continue
 				}
-				switch {
-				case strings.HasSuffix(name, ".json.gz"):
-					hash := strings.TrimSuffix(name, ".json.gz")
-					raw := gzipRawSize(filepath.Join(dir, name), info.Size())
-					c.addDiskLocked(hash, diskEntry{gz: true, raw: raw, comp: info.Size()})
-				case strings.HasSuffix(name, ".json"):
-					hash := strings.TrimSuffix(name, ".json")
-					if _, dup := c.disk[hash]; dup {
-						continue // the compressed spill wins
-					}
-					c.addDiskLocked(hash, diskEntry{raw: info.Size(), comp: info.Size()})
-				}
+				raw := gzipRawSize(filepath.Join(dir, de.Name()), info.Size())
+				c.addDiskLocked(hash, diskEntry{raw: raw, comp: info.Size()})
 			}
 		}
 		c.diskMu.Lock()
@@ -255,14 +244,6 @@ func (c *Cache) removeDiskLocked(hash string) {
 	c.compBytes -= e.comp
 }
 
-// entryPath returns the on-disk file for a tracked entry.
-func (c *Cache) entryPath(hash string, e diskEntry) string {
-	if e.gz {
-		return c.gzPath(hash)
-	}
-	return c.path(hash)
-}
-
 // Get returns the cached document for hash, inflated: the form a
 // caller parses. Memory is consulted first, then the spill directory; a
 // disk hit is promoted back into memory.
@@ -303,26 +284,23 @@ func (c *Cache) Stored(hash string) ([]byte, bool) {
 	return gz, true
 }
 
-// readDisk loads one spill file as a stored copy: a gzip file as is,
-// once its checksum has been verified, a legacy plain file compressed.
-// Whatever the bookkeeping says, a racing eviction, an external cleanup
-// or a corrupt file reads as a miss, not an error.
+// readDisk loads one spill file as a stored copy, once its gzip
+// checksum has been verified. Whatever the bookkeeping says, a racing
+// eviction, an external cleanup or a corrupt file reads as a miss, not
+// an error.
 func (c *Cache) readDisk(hash string) ([]byte, bool) {
-	if gz, err := os.ReadFile(c.gzPath(hash)); err == nil {
-		zr, err := gzip.NewReader(bytes.NewReader(gz))
-		if err != nil {
-			return nil, false
-		}
-		if _, err := io.Copy(io.Discard, zr); err != nil || zr.Close() != nil {
-			return nil, false
-		}
-		return gz, true
-	}
-	doc, err := os.ReadFile(c.path(hash))
+	gz, err := os.ReadFile(c.gzPath(hash))
 	if err != nil {
 		return nil, false
 	}
-	return c.Compress(doc), true
+	zr, err := gzip.NewReader(bytes.NewReader(gz))
+	if err != nil {
+		return nil, false
+	}
+	if _, err := io.Copy(io.Discard, zr); err != nil || zr.Close() != nil {
+		return nil, false
+	}
+	return gz, true
 }
 
 // Put compresses doc and stores it under hash in memory and, when
@@ -359,7 +337,7 @@ func (c *Cache) put(hash string, gz []byte, spill bool) {
 		c.diskMu.Unlock()
 		if exists {
 			// Content-addressed: an existing spill file already holds
-			// this document (in either format).
+			// this document.
 			return
 		}
 		// Write-then-rename so a crashed daemon never leaves a torn
@@ -369,7 +347,7 @@ func (c *Cache) put(hash string, gz []byte, spill bool) {
 			if err := os.Rename(tmp, c.gzPath(hash)); err == nil {
 				c.diskMu.Lock()
 				if _, ok := c.disk[hash]; !ok {
-					c.addDiskLocked(hash, diskEntry{gz: true, raw: gzipISize(gz), comp: int64(len(gz))})
+					c.addDiskLocked(hash, diskEntry{raw: gzipISize(gz), comp: int64(len(gz))})
 					c.evictDiskLocked()
 				}
 				c.diskMu.Unlock()
@@ -389,8 +367,8 @@ func (c *Cache) evictDiskLocked() {
 		mtime int64
 	}
 	files := make([]aged, 0, len(c.disk))
-	for hash, e := range c.disk {
-		info, err := os.Stat(c.entryPath(hash, e))
+	for hash := range c.disk {
+		info, err := os.Stat(c.gzPath(hash))
 		if err != nil {
 			// The file is already gone; drop the bookkeeping entry.
 			c.removeDiskLocked(hash)
@@ -404,7 +382,7 @@ func (c *Cache) evictDiskLocked() {
 		if len(c.disk) <= c.diskMax {
 			break
 		}
-		_ = os.Remove(c.entryPath(f.hash, c.disk[f.hash]))
+		_ = os.Remove(c.gzPath(f.hash))
 		c.removeDiskLocked(f.hash)
 		removed++
 	}
@@ -432,10 +410,6 @@ func (c *Cache) DiskBytes() (raw, compressed int64) {
 	c.diskMu.Lock()
 	defer c.diskMu.Unlock()
 	return c.rawBytes, c.compBytes
-}
-
-func (c *Cache) path(hash string) string {
-	return filepath.Join(c.dir, hash+".json")
 }
 
 func (c *Cache) gzPath(hash string) string {

@@ -137,26 +137,22 @@ func TestCacheDiskCapAtStartup(t *testing.T) {
 	}
 }
 
-// TestCacheGzipSpillAndLegacyRead pins the compressed spill format: new
-// writes land as .json.gz with the compressed size smaller than the raw
-// payload, a legacy uncompressed .json file from an older daemon is
-// still served transparently, and DiskBytes accounts both.
-func TestCacheGzipSpillAndLegacyRead(t *testing.T) {
+// TestCacheGzipSpill pins the compressed spill format: writes land as
+// .json.gz with the compressed size smaller than the raw payload,
+// DiskBytes accounts them, a restart recovers the raw size from the
+// gzip ISIZE trailer, a corrupt gzip spill file reads as a miss, and a
+// stray plain .json file in the directory is ignored.
+func TestCacheGzipSpill(t *testing.T) {
 	dir := t.TempDir()
-	legacy := []byte(`{"legacy":true}`)
-	if err := os.WriteFile(filepath.Join(dir, "old.json"), legacy, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "stray.json"), []byte(`{"stray":true}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
 	c := NewCache(1, dir, 0)
-	if got := c.DiskLen(); got != 1 {
-		t.Fatalf("startup scan found %d entries, want the legacy one", got)
+	if got := c.DiskLen(); got != 0 {
+		t.Fatalf("startup scan counted %d entries, want the stray .json ignored", got)
 	}
-	if raw, comp := c.DiskBytes(); raw != int64(len(legacy)) || comp != int64(len(legacy)) {
-		t.Fatalf("legacy accounting raw=%d comp=%d, want both %d", raw, comp, len(legacy))
-	}
-	if data, ok := c.Get("old"); !ok || string(data) != string(legacy) {
-		t.Fatalf("legacy .json entry not served: %q %v", data, ok)
+	if _, ok := c.Get("stray"); ok {
+		t.Fatal("stray .json file served")
 	}
 
 	// A compressible payload spills as gzip and shrinks on disk.
@@ -167,7 +163,7 @@ func TestCacheGzipSpillAndLegacyRead(t *testing.T) {
 		t.Fatalf("new entry not spilled as .json.gz: %v", err)
 	}
 	raw, comp := c.DiskBytes()
-	wantRaw := int64(len(legacy) + len(payload) + 1)
+	wantRaw := int64(len(payload) + 1)
 	if raw != wantRaw {
 		t.Fatalf("raw accounting %d, want %d", raw, wantRaw)
 	}
@@ -178,12 +174,12 @@ func TestCacheGzipSpillAndLegacyRead(t *testing.T) {
 		t.Fatal("gzip spill round-trip lost the payload")
 	}
 
-	// A restart re-scans the mixed-format directory: both formats are
-	// found, raw sizes recovered from the gzip ISIZE trailer, and both
-	// entries still readable.
+	// A restart re-scans the directory: raw sizes are recovered from the
+	// gzip ISIZE trailer, the entry is still readable and the stray
+	// .json is still not counted.
 	c2 := NewCache(1, dir, 0)
-	if got := c2.DiskLen(); got != 3 {
-		t.Fatalf("restart scan found %d entries, want 3", got)
+	if got := c2.DiskLen(); got != 2 {
+		t.Fatalf("restart scan found %d entries, want 2", got)
 	}
 	raw2, comp2 := c2.DiskBytes()
 	if raw2 != raw || comp2 != comp {
@@ -192,8 +188,13 @@ func TestCacheGzipSpillAndLegacyRead(t *testing.T) {
 	if data, ok := c2.Get("new"); !ok || string(data) != string(payload) {
 		t.Fatal("gzip entry unreadable after restart")
 	}
-	if data, ok := c2.Get("old"); !ok || string(data) != string(legacy) {
-		t.Fatal("legacy entry unreadable after restart")
+
+	// A corrupt gzip spill file reads as a miss.
+	if err := os.WriteFile(filepath.Join(dir, "bad.json.gz"), []byte("\x1f\x8bnot gzip"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := NewCache(1, dir, 0).Get("bad"); ok {
+		t.Fatal("corrupt gzip spill file served")
 	}
 }
 
@@ -233,35 +234,6 @@ func TestCacheStoresCompressedCopy(t *testing.T) {
 	c2 := NewCache(4, dir, 0)
 	if stored, ok := c2.Stored("k"); !ok || !bytes.Equal(stored, gz) {
 		t.Fatal("restarted cache does not serve the spilled copy as stored")
-	}
-}
-
-// TestCacheLegacySpillServesCompressed: a plain .json spill file from a
-// pre-compression daemon is served through both accessors — Stored
-// compresses it, Get returns it verbatim — and a corrupt gzip spill
-// file reads as a miss.
-func TestCacheLegacySpillServesCompressed(t *testing.T) {
-	dir := t.TempDir()
-	legacy := []byte(`{"legacy":true}`)
-	if err := os.WriteFile(filepath.Join(dir, "old.json"), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "bad.json.gz"), []byte("\x1f\x8bnot gzip"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCache(4, dir, 0)
-	gz, ok := c.Stored("old")
-	if !ok {
-		t.Fatal("legacy entry not served")
-	}
-	if doc, err := inflate(gz); err != nil || !bytes.Equal(doc, legacy) {
-		t.Fatalf("legacy entry stored as %q (%v), want %q", doc, err, legacy)
-	}
-	if doc, ok := c.Get("old"); !ok || !bytes.Equal(doc, legacy) {
-		t.Fatalf("legacy entry read back as %q", doc)
-	}
-	if _, ok := c.Get("bad"); ok {
-		t.Fatal("corrupt gzip spill file served")
 	}
 }
 

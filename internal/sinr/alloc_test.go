@@ -8,7 +8,7 @@ import (
 	"dynsched/internal/testenv"
 )
 
-func allocTestFixedPower(t *testing.T, kind WeightKind) *FixedPower {
+func allocTestFixedPower(t *testing.T, kind WeightKind, opt Options) *FixedPower {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	g := netgraph.RandomPairs(rng, 64, 100, 1, 4)
@@ -21,7 +21,7 @@ func allocTestFixedPower(t *testing.T, kind WeightKind) *FixedPower {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewFixedPower(g, prm, powers, kind)
+	m, err := NewFixedPowerOpts(g, prm, powers, kind, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,19 +29,42 @@ func allocTestFixedPower(t *testing.T, kind WeightKind) *FixedPower {
 }
 
 // TestFixedPowerResolverZeroAllocs pins the fixed-power resolver's
-// zero-steady-state-allocation guarantee for both weight kinds: after
-// one warm-up slot, resolution performs no heap allocations (and, by
-// construction, no math.Pow calls — every interference term is a gain
-// table read).
+// zero-steady-state-allocation guarantee for both weight kinds on the
+// table backings and for the indexed backing at ε = 0 and ε > 0: after
+// one warm-up pass, resolution performs no heap allocations (and, on
+// the tables, no math.Pow calls — every interference term is a gain
+// table read). The resolver cycles through three transmitter sets:
+// A→B changes a quarter of the set, which the ε > 0 spatial grid takes
+// as a delta update, while B→C and C→A change all of it and rebuild the
+// grid, so both grid paths are measured.
 func TestFixedPowerResolverZeroAllocs(t *testing.T) {
 	testenv.SkipIfRace(t)
-	for _, kind := range []WeightKind{WeightAffectance, WeightMonotone} {
-		m := allocTestFixedPower(t, kind)
-		tx := []int{0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 60}
-		resolve := m.NewResolver()
-		resolve(tx) // warm the reusable buffers
-		if got := testing.AllocsPerRun(200, func() { resolve(tx) }); got != 0 {
-			t.Errorf("%s resolver: %v allocs per slot, want 0", m.Name(), got)
+	var a, b, c []int
+	for e := 0; e < 64; e += 4 {
+		a, c = append(a, e), append(c, e+1)
+	}
+	b = append([]int{2, 6, 10, 14}, a[4:]...)
+	sets := [][]int{a, b, c}
+	models := []*FixedPower{
+		allocTestFixedPower(t, WeightAffectance, Options{}),
+		allocTestFixedPower(t, WeightMonotone, Options{}),
+		allocTestFixedPower(t, WeightMonotone, Options{Backing: BackIndexed}),
+		allocTestFixedPower(t, WeightMonotone, Options{Backing: BackIndexed, FarFloor: 0.02}),
+	}
+	for _, m := range models {
+		resolve, stats := m.NewStatsResolver(0)
+		for _, tx := range sets {
+			resolve(tx) // warm the reusable buffers and the grid
+		}
+		warm := stats()
+		i := 0
+		if got := testing.AllocsPerRun(200, func() { resolve(sets[i%len(sets)]); i++ }); got != 0 {
+			t.Errorf("%s %+v resolver: %v allocs per slot, want 0", m.Name(), m.Table(), got)
+		}
+		st := stats()
+		rebuilds, deltas := st.GridRebuilds-warm.GridRebuilds, st.GridDeltaUpdates-warm.GridDeltaUpdates
+		if m.Table().FarFloor > 0 && (rebuilds == 0 || deltas == 0) {
+			t.Errorf("%s %+v: %d grid rebuilds and %d delta updates measured, want both paths run", m.Name(), m.Table(), rebuilds, deltas)
 		}
 	}
 }
@@ -51,7 +74,7 @@ func TestFixedPowerResolverZeroAllocs(t *testing.T) {
 // is gone; counting scratch is pooled).
 func TestFixedPowerSuccessesSingleAlloc(t *testing.T) {
 	testenv.SkipIfRace(t)
-	m := allocTestFixedPower(t, WeightAffectance)
+	m := allocTestFixedPower(t, WeightAffectance, Options{})
 	tx := []int{0, 4, 8, 12, 16, 20}
 	m.Successes(tx) // warm the pool
 	if got := testing.AllocsPerRun(200, func() { m.Successes(tx) }); got > 1 {

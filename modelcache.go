@@ -1,11 +1,8 @@
 package dynsched
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"dynsched/internal/cli"
 )
 
 // ModelCache compiles scenarios like Scenario.Compile but builds each
@@ -41,9 +38,9 @@ type ModelCache struct {
 // modelEntry is one network. once guards the build, so waiters on an
 // entry under construction block until it is done.
 type modelEntry struct {
-	key  cli.NetworkOptions
+	key  networkKey
 	once sync.Once
-	net  *cli.Network
+	net  *network
 	err  error
 }
 
@@ -53,19 +50,7 @@ func NewModelCache() *ModelCache { return &ModelCache{} }
 // Compile validates the scenario and builds its components on the
 // cached network, building the network first when it is not cached.
 func (c *ModelCache) Compile(s Scenario) (*CompiledScenario, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	o := s.options()
-	net, err := c.network(o.Network())
-	var w *cli.Workload
-	if err == nil {
-		w, err = cli.Assemble(o, net)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("dynsched: scenario %q: %w", s.Name, err)
-	}
-	return s.compiled(w), nil
+	return s.compileOn(c.network)
 }
 
 // Stats reports how many compilations found their network cached
@@ -75,7 +60,7 @@ func (c *ModelCache) Stats() (hits, misses uint64) {
 }
 
 // network returns the network for key, building it on a miss.
-func (c *ModelCache) network(key cli.NetworkOptions) (*cli.Network, error) {
+func (c *ModelCache) network(key networkKey) (*network, error) {
 	c.mu.Lock()
 	e := c.last
 	if e != nil && e.key == key {
@@ -86,7 +71,7 @@ func (c *ModelCache) network(key cli.NetworkOptions) (*cli.Network, error) {
 		c.last = e
 	}
 	c.mu.Unlock()
-	e.once.Do(func() { e.net, e.err = cli.BuildNetwork(key) })
+	e.once.Do(func() { e.net, e.err = buildNetwork(key) })
 	if e.err != nil {
 		c.mu.Lock()
 		if c.last == e {

@@ -9,9 +9,9 @@ import (
 	"math"
 	"sync"
 
-	"dynsched/internal/cli"
 	"dynsched/internal/inject"
 	"dynsched/internal/sim"
+	"dynsched/internal/sinr"
 )
 
 // ---- Scenario specs ----
@@ -408,8 +408,7 @@ func (s Scenario) Validate() error {
 		if s.Network.Topology != "generator" {
 			return fmt.Errorf("dynsched: scenario %q: a network generator needs topology \"generator\", got %q", s.Name, s.Network.Topology)
 		}
-		gen := s.Network.Generator.cliGenerator(s.Network.Links)
-		if err := gen.Validate(); err != nil {
+		if err := s.Network.Generator.validate(s.Network.Links); err != nil {
 			return fmt.Errorf("dynsched: scenario %q: %v", s.Name, err)
 		}
 	} else if s.Network.Topology == "generator" {
@@ -451,56 +450,6 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// cliGenerator maps the declarative generator spec onto the workload
-// builder's input, defaulting the link count to the network-level one.
-func (gs GeneratorSpec) cliGenerator(links int) cli.Generator {
-	return cli.Generator{
-		Kind:     gs.Kind,
-		Links:    links,
-		Side:     gs.Side,
-		Clusters: gs.Clusters,
-		Spread:   gs.Spread,
-		MinLen:   gs.MinLen,
-		MaxLen:   gs.MaxLen,
-		Seed:     gs.Seed,
-	}
-}
-
-// options maps the declarative spec onto the workload builder's input.
-func (s Scenario) options() cli.Options {
-	adv := s.Traffic.Pattern
-	if adv == "stochastic" || adv == "trace" {
-		adv = ""
-	}
-	o := cli.Options{
-		Model:         s.Model.Kind,
-		Topology:      s.Network.Topology,
-		Alg:           s.Protocol.Alg,
-		Nodes:         s.Network.Nodes,
-		Links:         s.Network.Links,
-		Hops:          s.Network.Hops,
-		Lambda:        s.Traffic.Lambda,
-		Eps:           s.Protocol.Eps,
-		Seed:          s.Sim.Seed,
-		Adv:           adv,
-		Window:        s.Traffic.Window,
-		LossP:         s.Model.Loss,
-		Frame:         s.Protocol.Frame,
-		DisableDelays: s.Protocol.DisableDelays,
-		Backing:       s.Model.Backing,
-		DenseMaxLinks: s.Model.DenseMax,
-		FarFloor:      s.Model.FarFloor,
-		CellSize:      s.Model.Cell,
-		Trace:         s.Traffic.Trace,
-
-		ResolveParallelism: s.Sim.ResolveParallelism,
-	}
-	if s.Network.Generator != nil {
-		o.Gen = s.Network.Generator.cliGenerator(s.Network.Links)
-	}
-	return o
-}
-
 // simConfig maps the spec's simulation parameters.
 func (s Scenario) simConfig() SimConfig {
 	return SimConfig{
@@ -512,19 +461,14 @@ func (s Scenario) simConfig() SimConfig {
 	}
 }
 
-// CompiledScenario holds the runnable components a scenario validates
-// and wires together: inspect the graph or protocol sizing, then Run.
 // ModelDiagnostics records which interference-table backing a compiled
 // SINR model resolved to and with which knobs — inspect it (or let
 // cmd/dynsched print it) to confirm a scale run actually uses the
 // spatial index rather than an O(n²) table.
-type ModelDiagnostics struct {
-	Backing       string  `json:"backing"`
-	DenseMaxLinks int     `json:"denseMaxLinks"`
-	FarFloor      float64 `json:"farFloor,omitempty"`
-	CellSize      float64 `json:"cellSize,omitempty"`
-}
+type ModelDiagnostics = sinr.TableInfo
 
+// CompiledScenario holds the runnable components a scenario validates
+// and wires together: inspect the graph or protocol sizing, then Run.
 type CompiledScenario struct {
 	Scenario  Scenario
 	Graph     *Graph
@@ -543,42 +487,25 @@ type CompiledScenario struct {
 // state (ModelCache.Compile is the variant that shares the network and
 // model between compilations).
 func (s Scenario) Compile() (*CompiledScenario, error) {
+	return s.compileOn(buildNetwork)
+}
+
+// compileOn validates the scenario, takes its network from build and
+// assembles one run on it: the one compile path behind Compile and
+// ModelCache.Compile.
+func (s Scenario) compileOn(build func(networkKey) (*network, error)) (*CompiledScenario, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	w, err := cli.Build(s.options())
+	net, err := build(s.networkKey())
+	var c *CompiledScenario
+	if err == nil {
+		c, err = s.assemble(net)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("dynsched: scenario %q: %w", s.Name, err)
 	}
-	return s.compiled(w), nil
-}
-
-// compiled wraps a built workload as the scenario's compilation, with
-// fresh observers from the scenario's factories.
-func (s Scenario) compiled(w *cli.Workload) *CompiledScenario {
-	obs := make([]SimObserver, 0, len(s.Observers))
-	for _, f := range s.Observers {
-		obs = append(obs, f())
-	}
-	var diag *ModelDiagnostics
-	if w.Diag != nil {
-		diag = &ModelDiagnostics{
-			Backing:       w.Diag.Backing,
-			DenseMaxLinks: w.Diag.DenseMaxLinks,
-			FarFloor:      w.Diag.FarFloor,
-			CellSize:      w.Diag.CellSize,
-		}
-	}
-	return &CompiledScenario{
-		Scenario:    s,
-		Graph:       w.Graph,
-		Model:       w.Model,
-		Process:     w.Process,
-		Protocol:    w.Protocol,
-		Config:      s.simConfig(),
-		Observers:   obs,
-		Diagnostics: diag,
-	}
+	return c, nil
 }
 
 // Run executes the compiled components once.
