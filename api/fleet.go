@@ -22,8 +22,6 @@ import (
 //	POST /v1/fleet/report     report completed units, renew the
 //	                          runner's outstanding leases
 //	POST /v1/fleet/heartbeat  register liveness and renew leases
-//	GET  /v1/units/{hash}     the coordinator's content-addressed unit
-//	                          result cache (404 = not cached)
 
 // LeaseRequest is the POST /v1/fleet/lease body.
 type LeaseRequest struct {
@@ -55,9 +53,6 @@ type LeasedUnit struct {
 	Hash string `json:"hash"`
 	// Scenario is the fully-resolved single-run spec to execute.
 	Scenario dynsched.Scenario `json:"scenario"`
-	// NoCache tells the runner to skip its pre-execution
-	// GET /v1/units/{hash} check (the submission demanded fresh runs).
-	NoCache bool `json:"noCache,omitempty"`
 }
 
 // LeaseResponse is the POST /v1/fleet/lease answer. An empty Units

@@ -290,13 +290,26 @@ func applyOverrides(fs *flag.FlagSet, sc, fromFlags dynsched.Scenario) dynsched.
 
 // runReplicated fans `reps` independent runs across the worker pool and
 // prints per-replication lines plus the across-replication summary.
-// Cancellation reports the completed replications as a partial result.
+// The replications and the header share one network through a model
+// cache. Cancellation reports the completed replications as a partial
+// result.
 func runReplicated(ctx context.Context, sc dynsched.Scenario, reps int, asJSON bool) error {
-	res, runErr := sc.Replicate(ctx, reps)
-	if runErr != nil && (res == nil || len(res.Runs) == 0) {
-		return runErr
+	p, err := sc.Plan(reps)
+	if err != nil {
+		return err
 	}
+	mc := dynsched.NewModelCache()
+	pr, runErr := p.Execute(ctx, dynsched.ExecOptions{Models: mc})
+	var ue *dynsched.PlanUnitError
+	if errors.As(runErr, &ue) {
+		return ue.Err
+	}
+	res := pr.Replicate
 	if runErr != nil {
+		runErr = fmt.Errorf("dynsched: replicate cancelled with %d of %d replications completed: %w", len(res.Runs), reps, runErr)
+		if len(res.Runs) == 0 {
+			return runErr
+		}
 		fmt.Fprintf(os.Stderr, "dynsched: %v — reporting the partial result\n", runErr)
 	}
 	if asJSON {
@@ -306,7 +319,7 @@ func runReplicated(ctx context.Context, sc dynsched.Scenario, reps int, asJSON b
 		return runErr
 	}
 	// Compiled only for the header's protocol/process names.
-	c, err := sc.Compile()
+	c, err := mc.Compile(sc)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 
 	"dynsched/api"
 )
@@ -164,22 +163,4 @@ func (c *Client) Metrics(ctx context.Context) (Metrics, error) {
 		return nil, httpError(resp)
 	}
 	return ParseMetrics(resp.Body)
-}
-
-// WaitHealthy polls /healthz until it answers or the deadline passes —
-// the "daemon just started" helper for scripts and CI.
-func (c *Client) WaitHealthy(ctx context.Context, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if _, err := c.Health(ctx); err == nil {
-			return nil
-		} else if time.Now().After(deadline) {
-			return fmt.Errorf("dynschedd at %s not healthy after %s: %w", c.BaseURL, timeout, err)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
 }

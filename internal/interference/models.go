@@ -115,12 +115,11 @@ func (m AllOnes) NewResolver() func(tx []int) []bool {
 // Dense is an explicit weight matrix with threshold transmission
 // semantics: a transmission on e succeeds when e carries one packet and
 // the summed weight of all other simultaneous transmissions at e stays
-// below Threshold (default 1). It serves as a generic Model for tests and
-// for models whose W is computed up front.
+// below 1. It serves as a generic Model for tests and for models whose
+// W is computed up front.
 type Dense struct {
-	name      string
-	w         [][]float64
-	threshold float64
+	name string
+	w    [][]float64
 
 	rowsMu sync.Mutex
 	rows   *Sparse // CSR cache, invalidated by Set, guarded by rowsMu
@@ -129,18 +128,15 @@ type Dense struct {
 var _ Model = (*Dense)(nil)
 
 // NewDense creates an n×n matrix model with unit diagonal, zero
-// off-diagonal weights, and threshold 1.
+// off-diagonal weights.
 func NewDense(name string, n int) *Dense {
 	w := make([][]float64, n)
 	for i := range w {
 		w[i] = make([]float64, n)
 		w[i][i] = 1
 	}
-	return &Dense{name: name, w: w, threshold: 1}
+	return &Dense{name: name, w: w}
 }
-
-// SetThreshold overrides the success threshold.
-func (d *Dense) SetThreshold(t float64) { d.threshold = t }
 
 // Set assigns W[e][e2]. It returns an error for out-of-range indices,
 // values outside [0,1], or attempts to change the unit diagonal.
@@ -198,7 +194,7 @@ func (d *Dense) Successes(tx []int) []bool {
 				sum += d.w[e][e2]
 			}
 		}
-		out[i] = sum < d.threshold
+		out[i] = sum < 1
 	}
 	return out
 }
@@ -218,7 +214,7 @@ func (d *Dense) NewResolver() func(tx []int) []bool {
 					sum += d.w[e][e2]
 				}
 			}
-			out[i] = sum < d.threshold
+			out[i] = sum < 1
 		}
 		s.End(tx)
 		return out
@@ -262,19 +258,11 @@ func (l *Lossy) NumLinks() int { return l.Inner.NumLinks() }
 func (l *Lossy) Weight(e, e2 int) float64 { return l.Inner.Weight(e, e2) }
 
 // Successes implements Model.
-func (l *Lossy) Successes(tx []int) []bool {
-	out := l.Inner.Successes(tx)
-	for i, ok := range out {
-		if ok && l.Rand() < l.P {
-			out[i] = false
-		}
-	}
-	return out
-}
+func (l *Lossy) Successes(tx []int) []bool { return l.applyLoss(l.Inner.Successes(tx)) }
 
-// applyLoss overlays the loss draws on an inner resolution. The draw
-// order is the slot order, exactly as in Successes, so resolver-path
-// and Successes-path runs consume the identical RNG stream.
+// applyLoss overlays the loss draws on an inner resolution, in slot
+// order. Successes and every resolver path share it, so they consume
+// the identical RNG stream.
 func (l *Lossy) applyLoss(out []bool) []bool {
 	for i, ok := range out {
 		if ok && l.Rand() < l.P {

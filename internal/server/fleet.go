@@ -1,8 +1,7 @@
 package server
 
 // The fleet protocol's HTTP surface: POST /v1/fleet/lease, /report
-// and /heartbeat, plus GET /v1/units/{hash} — the fleet-wide unit
-// result cache. Report bodies may arrive gzip-compressed
+// and /heartbeat. Report bodies may arrive gzip-compressed
 // (Content-Encoding: gzip) and lease responses are compressed when the
 // runner advertises Accept-Encoding: gzip; both ride the runner's
 // keep-alive connections, so a busy fleet holds one warm TCP stream
@@ -96,7 +95,6 @@ func (s *Server) handleFleetLease(w http.ResponseWriter, r *http.Request) {
 			Lease:    fu.leaseID,
 			Hash:     fu.pu.Hash,
 			Scenario: fu.pu.Scenario,
-			NoCache:  fu.noCache,
 		})
 	}
 	writeFleetJSON(w, r, http.StatusOK, resp)
@@ -154,40 +152,4 @@ func (s *Server) handleFleetHeartbeat(w http.ResponseWriter, r *http.Request) {
 		ExpiryMs: s.fleet.expiry.Milliseconds(),
 		Runners:  runners,
 	})
-}
-
-// handleUnitGet serves the fleet-wide per-unit result cache: a runner
-// asks GET /v1/units/{key} with the unit's result key (resultKey)
-// before executing a leased unit, and a 200 (the stored SimResult
-// document, byte-exact) turns the unit into a wire-level cache hit.
-// Runners ask by the namespaced key, so peers on different engine
-// stream versions miss instead of exchanging documents.
-func (s *Server) handleUnitGet(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	key := strings.TrimPrefix(r.URL.Path, "/v1/units/")
-	if key == "" || strings.Contains(key, "/") {
-		writeError(w, http.StatusNotFound, "unknown unit endpoint %q", r.URL.Path)
-		return
-	}
-	gz, ok := s.cache.Stored(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no cached result for unit %s", key)
-		return
-	}
-	// A client that takes gzip gets the stored copy as is.
-	w.Header().Set("Content-Type", "application/json")
-	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-		w.Header().Set("Content-Encoding", "gzip")
-		_, _ = w.Write(gz)
-		return
-	}
-	doc, err := inflate(gz)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "unit %s: %v", key, err)
-		return
-	}
-	_, _ = w.Write(doc)
 }

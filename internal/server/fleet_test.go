@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -117,6 +116,41 @@ func TestFleetEndToEndByteIdentity(t *testing.T) {
 	}
 	if f.Leased != 0 || f.PendingUnits != 0 {
 		t.Errorf("lease table not empty after the run: %d leased, %d pending", f.Leased, f.PendingUnits)
+	}
+}
+
+// TestFleetResubmittedSweepLeasesOnlyNewUnits: the coordinator's
+// per-unit lookup is the only guard against re-simulating a stored
+// unit, so a sweep resubmitted with one extra value leases exactly that
+// one unit to the fleet and serves the other four from the cache.
+func TestFleetResubmittedSweepLeasesOnlyNewUnits(t *testing.T) {
+	_, coord := startServer(t, Config{Workers: 2, QueueDepth: 8, FleetLocal: -1, LeaseExpiry: 10 * time.Second})
+	runner := startRunner(t, coord, RunnerConfig{ID: "rs1", Parallel: 1})
+
+	_, first := submitScenario(t, coord, sweepScenario("fleet-resubmit", 2_000, 0.1, 0.2, 0.3, 0.4))
+	if done := waitForState(t, coord, first.ID, StateDone); done.UnitsDone != 4 || done.UnitsCached != 0 {
+		t.Fatalf("first sweep counters: %d done / %d cached, want 4/0", done.UnitsDone, done.UnitsCached)
+	}
+	before, ranBefore := fleetHealth(t, coord), runner.UnitsDone()
+
+	grown := sweepScenario("fleet-resubmit", 2_000, 0.1, 0.2, 0.3, 0.4, 0.5)
+	_, second := submitScenario(t, coord, grown)
+	view := waitForState(t, coord, second.ID, StateDone)
+	if view.UnitsDone != 5 || view.UnitsCached != 4 {
+		t.Fatalf("grown sweep counters: %d done / %d cached, want 5/4", view.UnitsDone, view.UnitsCached)
+	}
+	after := fleetHealth(t, coord)
+	if got := after.LeasedTotal - before.LeasedTotal; got != 1 {
+		t.Errorf("grown sweep leased %d units, want 1", got)
+	}
+	if got := after.Merged - before.Merged; got != 1 {
+		t.Errorf("grown sweep merged %d reports, want 1", got)
+	}
+	if got := runner.UnitsDone() - ranBefore; got != 1 {
+		t.Errorf("runner completed %d units of the grown sweep, want 1", got)
+	}
+	if want := planBaseline(t, grown); !bytes.Equal(view.Result, want) {
+		t.Fatalf("grown sweep document differs from Plan.Execute's:\nfleet:   %.200s\nlibrary: %.200s", view.Result, want)
 	}
 }
 
@@ -398,34 +432,6 @@ func TestDrainReleasesFleetLeases(t *testing.T) {
 	f := fleetHealth(t, ts)
 	if f.Merged != 3 {
 		t.Errorf("fleet merged %d, want 3", f.Merged)
-	}
-}
-
-// TestFleetUnitCacheEndpoint pins GET /v1/units/{hash}: 404 on a cold
-// hash, then the exact cached bytes once the unit result is stored.
-func TestFleetUnitCacheEndpoint(t *testing.T) {
-	srv, ts := startServer(t, Config{Workers: 1, QueueDepth: 4})
-
-	resp, err := http.Get(ts.URL + "/v1/units/deadbeef")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("cold unit fetch: %s, want 404", resp.Status)
-	}
-
-	doc := []byte(`{"slots":1}`)
-	srv.cache.Put("deadbeef", doc)
-	resp, err = http.Get(ts.URL + "/v1/units/deadbeef")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || string(body) != string(doc) {
-		t.Fatalf("unit fetch: %s %q, want the exact cached document", resp.Status, body)
 	}
 }
 

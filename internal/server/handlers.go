@@ -28,7 +28,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/fleet/lease", s.handleFleetLease)
 	mux.HandleFunc("/v1/fleet/report", s.handleFleetReport)
 	mux.HandleFunc("/v1/fleet/heartbeat", s.handleFleetHeartbeat)
-	mux.HandleFunc("/v1/units/", s.handleUnitGet)
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.Handle("/metrics", s.metrics.reg.Handler())
 	return mux

@@ -45,8 +45,7 @@ const (
 
 // fleetUnit is one plan unit parked in the lease table.
 type fleetUnit struct {
-	pu      dynsched.PlanUnit
-	noCache bool
+	pu dynsched.PlanUnit
 	// owner is the job whose local lessees may take the unit; run is
 	// its local execution, bound to the unit's context.
 	owner *Job

@@ -243,19 +243,11 @@ func (r *Runner) leaseOnce(ctx context.Context) ([]api.LeasedUnit, error) {
 	return resp.Units, nil
 }
 
-// execute runs one leased unit: consult the fleet unit cache first
-// (unless the plan forbids it), then compile and simulate, holding the
-// result to the service floor.
+// execute runs one leased unit: compile and simulate, holding the
+// result to the service floor. The coordinator served every cached
+// unit before leasing, so a leased unit always runs.
 func (r *Runner) execute(ctx context.Context, u api.LeasedUnit) api.UnitReport {
 	rep := api.UnitReport{Lease: u.Lease, Hash: u.Hash}
-	if !u.NoCache {
-		if data, ok := r.fetchCached(ctx, resultKey(u.Hash)); ok {
-			rep.Result = data
-			r.pm.ObserveCached()
-			r.unitsDone.Add(1)
-			return rep
-		}
-	}
 	started := time.Now()
 	res, err := r.runUnit(ctx, u)
 	elapsed := time.Since(started)
@@ -285,29 +277,6 @@ func (r *Runner) runUnit(ctx context.Context, u api.LeasedUnit) (*dynsched.SimRe
 		return nil, err
 	}
 	return cs.Run(ctx)
-}
-
-// fetchCached asks the coordinator's unit cache for an already-stored
-// result under key, a unit's result key.
-func (r *Runner) fetchCached(ctx context.Context, key string) (json.RawMessage, bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.cfg.Coordinator+"/v1/units/"+key, nil)
-	if err != nil {
-		return nil, false
-	}
-	resp, err := r.hc.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, false
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxFleetBodyBytes))
-	if err != nil {
-		return nil, false
-	}
-	return data, true
 }
 
 // reportLoop batches finished units and ships them as gzip POSTs.

@@ -33,7 +33,7 @@
 //	GET    /healthz              liveness and queue occupancy
 //
 // plus the fleet protocol (fleet.go): POST /v1/fleet/lease, /report
-// and /heartbeat, and GET /v1/units/{hash}.
+// and /heartbeat.
 package server
 
 import (
@@ -450,7 +450,7 @@ func (s *Server) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 			}
 		},
 		Dispatch: func(uctx context.Context, u dynsched.PlanUnit, run func(context.Context) (*dynsched.SimResult, error)) (*dynsched.SimResult, error) {
-			fu := &fleetUnit{pu: u, noCache: j.noCache, owner: j,
+			fu := &fleetUnit{pu: u, owner: j,
 				run: func() (*dynsched.SimResult, error) { return run(uctx) }}
 			s.fleet.park(fu)
 			return s.fleet.wait(uctx, fu)

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -452,9 +451,8 @@ func TestCacheDiskSpill(t *testing.T) {
 }
 
 // TestCacheHitServesLibraryBytes: a result-cache hit serves exactly the
-// library's document — spliced verbatim into GET /v1/jobs/{id} (the
-// envelope stays indented) and byte-exact on GET /v1/units/{key},
-// whether the client takes gzip or not.
+// library's document, spliced verbatim into GET /v1/jobs/{id} (the
+// envelope stays indented).
 func TestCacheHitServesLibraryBytes(t *testing.T) {
 	sc := lineScenario("library-bytes", 2_000, 5)
 	c, err := sc.Compile()
@@ -495,33 +493,6 @@ func TestCacheHitServesLibraryBytes(t *testing.T) {
 		}
 		if view := getJob(t, ts, id); !bytes.Equal(view.Result, want) {
 			t.Fatalf("job %s: decoded result differs from the library's", id)
-		}
-	}
-	for _, enc := range []string{"gzip", "identity"} {
-		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/units/"+resultKey(sc.Hash()), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Accept-Encoding", enc)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var src io.Reader = resp.Body
-		if resp.Header.Get("Content-Encoding") == "gzip" {
-			zr, err := gzip.NewReader(resp.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src = zr
-		}
-		body, err := io.ReadAll(src)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
-			t.Fatalf("unit GET (Accept-Encoding %s): status %d, body %.200s", enc, resp.StatusCode, body)
 		}
 	}
 }
