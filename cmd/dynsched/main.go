@@ -147,7 +147,8 @@ func parseSweepFlag(s string) (dynsched.SweepSpec, error) {
 
 // runSweep decomposes the sweep into its execution plan, streams
 // per-unit completion to stderr, and prints the point table (or the
-// full PlanResult document with -json). Cancellation reports the
+// full PlanResult document with -json). Units that share a network
+// build it once, through a model cache. Cancellation reports the
 // completed points as a partial result.
 func runSweep(ctx context.Context, sc dynsched.Scenario, asJSON bool) error {
 	p, err := sc.Plan(1)
@@ -155,6 +156,7 @@ func runSweep(ctx context.Context, sc dynsched.Scenario, asJSON bool) error {
 		return err
 	}
 	pr, runErr := p.Execute(ctx, dynsched.ExecOptions{
+		Models: dynsched.NewModelCache(),
 		OnUnit: func(u dynsched.PlanUnit, cached bool, err error, prog dynsched.PlanProgress) {
 			if err != nil {
 				return

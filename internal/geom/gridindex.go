@@ -411,7 +411,7 @@ func (g *GridIndex) Within(p Point, radius float64, pts []Point, dst, ring []int
 // doubling ball) while per-point contributions decay like ρ^{-α}, so the
 // true tail decays geometrically and a constant number of rings pushes
 // the bound below any fixed floor ε. FarFieldSeriesBound states that
-// analytic form.
+// analytic form. minDist^α is Pow's, so math.Pow's bits at any α.
 func FarFieldBound(alpha, remaining, minDist float64) float64 {
 	if remaining <= 0 {
 		return 0
@@ -419,7 +419,7 @@ func FarFieldBound(alpha, remaining, minDist float64) float64 {
 	if minDist <= 0 {
 		return math.Inf(1)
 	}
-	return remaining / math.Pow(minDist, alpha)
+	return remaining / Pow(minDist, alpha)
 }
 
 // FarFieldSeriesBound bounds the total path-loss contribution of every

@@ -64,6 +64,10 @@ type ResolveStats struct {
 	// without a spatial grid.
 	GridRebuilds     uint64
 	GridDeltaUpdates uint64
+	// Rewalks counts indexed SINR verdicts whose cheap certified
+	// far-cell tail could not decide them, so the receiver was walked
+	// again with exact powers. Zero for models without that tail.
+	Rewalks uint64
 }
 
 // ResolveStatsProvider is implemented by models that account their

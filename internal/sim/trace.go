@@ -33,11 +33,13 @@ type EngineMetrics struct {
 	SlotSeconds *metrics.Histogram
 
 	// Intra-slot resolution instruments: the worker count the most
-	// recently started run resolves with, and the cumulative
-	// delta-vs-rebuild accounting of spatially-indexed resolvers.
+	// recently started run resolves with, the cumulative
+	// delta-vs-rebuild accounting of spatially-indexed resolvers, and
+	// their re-walked verdicts.
 	ResolveWorkers   *metrics.Gauge
 	GridRebuilds     *metrics.Counter
 	GridDeltaUpdates *metrics.Counter
+	Rewalks          *metrics.Counter
 }
 
 // slotSecondsBuckets spans ~100ns to ~0.4s: identity-model slots
@@ -60,6 +62,8 @@ func NewEngineMetrics(r *metrics.Registry) *EngineMetrics {
 			"Spatial interference grids rebuilt from scratch across all runs."),
 		GridDeltaUpdates: r.Counter("dynsched_sim_grid_delta_updates_total",
 			"Spatial interference grid slots served by the incremental joined/left delta path across all runs."),
+		Rewalks: r.Counter("dynsched_sim_rewalks_total",
+			"Indexed SINR verdicts the certified far-cell tail left undecided, walked again with exact powers, across all runs."),
 	}
 }
 
@@ -141,8 +145,8 @@ func (o *MetricsObserver) OnSlot(t int64, v SlotView) {
 
 // OnEnd implements Observer: the tail of the local counters reaches
 // the shared bundle even for runs shorter than one sample window, and
-// the run's grid delta-vs-rebuild contribution lands in the shared
-// counters.
+// the run's grid delta-vs-rebuild and re-walk contributions land in
+// the shared counters.
 func (o *MetricsObserver) OnEnd(r *Result) {
 	o.armed = false
 	o.flush()
@@ -153,6 +157,9 @@ func (o *MetricsObserver) OnEnd(r *Result) {
 		}
 		if st.GridDeltaUpdates > 0 {
 			o.m.GridDeltaUpdates.Add(st.GridDeltaUpdates)
+		}
+		if st.Rewalks > 0 {
+			o.m.Rewalks.Add(st.Rewalks)
 		}
 		o.resolveStats = nil
 	}

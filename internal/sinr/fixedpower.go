@@ -43,6 +43,10 @@ type FixedPower struct {
 	// Cached per-link quantities.
 	lens    []float64 // link lengths
 	signals []float64 // received signal strength p(ℓ)/d(ℓ)^α
+	// rex2 is each receiver's exact radius², the squared distance within
+	// which a single interferer can reach the contribution floor (see
+	// exactRadiusSq). Indexed backing at FarFloor > 0 only.
+	rex2 []float64
 	// gain.at(e, e2) = p(e2)/d(s', r)^α — the interference power a
 	// transmission on e2 lands at e's receiver. Precomputed once so the
 	// per-slot SINR test is a flat table sum with no math.Pow calls;
@@ -56,6 +60,14 @@ type FixedPower struct {
 	sendPos []geom.Point
 	recvPos []geom.Point
 	pmax    float64
+
+	// Powers of α, fixed at construction. alphaInt is α when it is a
+	// whole exponent (geom.WholeExponent), so d^α is geom.PowInt's, and 0
+	// otherwise. halfInt is α/2 when that is whole (even α): the far-cell
+	// power d²^(α/2) is then exact too. oddHalf is (α−1)/2 for odd α ≥ 3,
+	// whose far-cell powers indexedVerdict takes as the cheap certified
+	// d²^oddHalf·√d² (ringWalk).
+	alphaInt, halfInt, oddHalf int
 
 	// The analysis matrix. Table backings build it eagerly (the
 	// historical behavior); the indexed backing builds it on first use —
@@ -76,6 +88,7 @@ type FixedPower struct {
 	// hence atomic.
 	gridRebuilds     atomic.Uint64
 	gridDeltaUpdates atomic.Uint64
+	rewalks          atomic.Uint64
 }
 
 // fpScratch fill modes: which range body RunChunks executes.
@@ -108,12 +121,17 @@ type fpScratch struct {
 	ptotal  float64
 	wring   [][]int32
 
-	// indexedVerdict's rounding allowances for this slot (beginGridSlot).
+	// indexedVerdict's rounding allowances for this slot (beginGridSlot):
+	// the early-success slack and growth factor, and the certified
+	// tail's bracket factors.
 	remSlack, farGrow float64
+	tailLo, tailHi    float64
 
-	// This resolver's grid accounting (prepareGrid), read through
-	// NewStatsResolver's stats function.
+	// This resolver's grid accounting (prepareGrid) and its re-walked
+	// verdicts (indexedVerdict; atomic, since the slot's workers share
+	// the scratch), read through NewStatsResolver's stats function.
 	rebuilds, deltas uint64
+	rewalks          atomic.Uint64
 }
 
 var (
@@ -164,6 +182,14 @@ func NewFixedPowerOpts(g *netgraph.Graph, prm Params, powers []float64, kind Wei
 		kind:   kind,
 		opts:   opt,
 	}
+	m.alphaInt = geom.WholeExponent(prm.Alpha)
+	if m.alphaInt > 1 {
+		if m.alphaInt%2 == 0 {
+			m.halfInt = m.alphaInt / 2
+		} else {
+			m.oddHalf = (m.alphaInt - 1) / 2
+		}
+	}
 	n := g.NumLinks()
 	m.info = opt.tableInfo(n)
 	m.lens = make([]float64, n)
@@ -174,7 +200,7 @@ func NewFixedPowerOpts(g *netgraph.Graph, prm Params, powers []float64, kind Wei
 			return nil, fmt.Errorf("sinr: link %d has non-positive power %v", i, p)
 		}
 		m.lens[i] = g.LinkDist(netgraph.LinkID(i))
-		m.signals[i] = p / math.Pow(m.lens[i], prm.Alpha)
+		m.signals[i] = p / m.pathLoss(m.lens[i])
 		if p > m.pmax {
 			m.pmax = p
 		}
@@ -188,7 +214,7 @@ func NewFixedPowerOpts(g *netgraph.Graph, prm Params, powers []float64, kind Wei
 			recv := g.Link(netgraph.LinkID(at)).To
 			d := g.NodeDist(g.Link(netgraph.LinkID(src)).From, recv)
 			// d == 0 divides to +Inf — the sentinel the SINR test expects.
-			return m.powers[src] / math.Pow(d, prm.Alpha)
+			return m.powers[src] / m.pathLoss(d)
 		})
 		m.ensureWeights()
 	}
@@ -219,7 +245,31 @@ func (m *FixedPower) initSpatial() error {
 		m.sendPos[e] = m.g.Pos(l.From)
 		m.recvPos[e] = m.g.Pos(l.To)
 	}
+	if m.opts.FarFloor > 0 {
+		m.rex2 = make([]float64, n)
+		for e := range m.rex2 {
+			m.rex2[e] = m.exactRadiusSq(m.signals[e])
+		}
+	}
 	return nil
+}
+
+// exactRadiusSq is the exact radius² of a receiver with the given
+// signal at FarFloor ε > 0: a single interferer at distance d
+// contributes p/d^α ≥ budget = ε·signal/β only when d^α ≤ pmax/budget,
+// so cells beyond that radius hold only below-floor interferers and
+// may be aggregated.
+func (m *FixedPower) exactRadiusSq(signal float64) float64 {
+	budget := m.opts.FarFloor * signal / m.prm.Beta
+	return math.Pow(m.pmax/budget, 2/m.prm.Alpha)
+}
+
+// pathLoss is d^α, math.Pow's bits through geom.PowInt when α is whole.
+func (m *FixedPower) pathLoss(d float64) float64 {
+	if m.alphaInt > 0 {
+		return geom.PowInt(d, m.alphaInt)
+	}
+	return math.Pow(d, m.prm.Alpha)
 }
 
 func kindName(k WeightKind) string {
@@ -252,7 +302,7 @@ func (m *FixedPower) gainAt(at, src int) float64 {
 	if m.gain != nil {
 		return m.gain.at(at, src)
 	}
-	return m.powers[src] / math.Pow(m.sendPos[src].Dist(m.recvPos[at]), m.prm.Alpha)
+	return m.powers[src] / m.pathLoss(m.sendPos[src].Dist(m.recvPos[at]))
 }
 
 // ensureWeights builds the analysis matrix on first use. Table backings
@@ -498,18 +548,35 @@ const unitRoundoff = 0x1p-53
 
 // beginGridSlot sets up the FarFloor > 0 state of one counted slot: the
 // ascending selection of distinct transmitters, their total power, the
-// rounding allowances of indexedVerdict's early success, and the grid.
+// rounding allowances of indexedVerdict's early exits and certified
+// tail, and the grid.
 //
 // With k transmitters, the finished estimate adds at most k+1 further
 // terms (one per remaining point or aggregated cell, plus the far-field
-// closure), each with one rounding; math.Pow is within (1450 + 2α)·u of
-// the true power for every finite normal result (Exp(yf·Log x) with
-// |yf·ln x| ≤ 710, then repeated squaring over α's integer part), once
-// in each term and once in the bound; one division per term and the
-// check's own few operations add a few u more. farGrow covers all of
-// that at least twice over. remSlack bounds the error of
-// rem = ptotal − visited, whose three summations (ptotal, the cell
-// weights, visited) each err by at most k·u·ptotal.
+// closure), each with one rounding; the power in each term and in the
+// bound is math.Pow's (or geom.PowInt's, the same bits), which is within
+// (1450 + 2α)·u of the true power for every finite normal result
+// (Exp(yf·Log x) with |yf·ln x| ≤ 710, then repeated squaring over α's
+// integer part); one division per term and the check's own few
+// operations add a few u more. farGrow covers all of that at least
+// twice over. remSlack bounds the error of rem = ptotal − visited,
+// whose three summations (ptotal, the cell weights, visited) each err
+// by at most k·u·ptotal.
+//
+// tailLo and tailHi bracket the exact walk's far-cell sum by the cheap
+// one (odd α, ringWalk): exact tail ∈ [cheap·tailLo, cheap·tailHi]. A
+// cheap power is c = fl(fl(d²^h)·fl(√d²)) with h = (α−1)/2. Any product
+// of h factors errs by at most (h−1)·u, and the root and the product
+// add one rounding each, so c is within ((α+1)/2)·u of the true
+// d²^(α/2), and the exact power within (1450 + 2α)·u of it. Each term's
+// division adds u on either side, and each side's float sum of at most
+// k non-negative terms errs by at most k·u of its exact sum (2k·u for
+// the two). The bracket's own product adds u. Together that is
+// (1453 + 2.5α + 2k)·u to first order; the band (4k + 5α + 4096)·u
+// covers it at least twice over, second-order terms included. These
+// relative bounds need normal values, so the walk drops the cheap tail
+// for the exact one whenever a cheap power, term or partial sum leaves
+// [2⁻¹⁰⁰⁰, 2¹⁰⁰⁰].
 func (m *FixedPower) beginGridSlot(sc *fpScratch) {
 	sel := sc.sel[:0]
 	ptotal := 0.0
@@ -522,6 +589,8 @@ func (m *FixedPower) beginGridSlot(sc *fpScratch) {
 	k := float64(len(sel))
 	sc.remSlack = (4*k + 8) * unitRoundoff * ptotal
 	sc.farGrow = 1 + (2*k+8*m.prm.Alpha+8192)*unitRoundoff
+	band := (4*k + 5*m.prm.Alpha + 4096) * unitRoundoff
+	sc.tailLo, sc.tailHi = 1-band, 1+band
 	m.prepareGrid(sc)
 }
 
@@ -548,7 +617,7 @@ func (m *FixedPower) prepareGrid(sc *fpScratch) {
 // distinct transmitter summed exactly, ascending.
 func (m *FixedPower) fillIndexedExactRange(sc *fpScratch, lo, hi int) {
 	s := sc.rs
-	alpha, beta := m.prm.Alpha, m.prm.Beta
+	beta := m.prm.Beta
 	for i := lo; i < hi; i++ {
 		e := sc.tx[i]
 		if s.Counts[e] != 1 {
@@ -558,7 +627,7 @@ func (m *FixedPower) fillIndexedExactRange(sc *fpScratch, lo, hi int) {
 		recv := m.recvPos[e]
 		for _, e2 := range s.Uniq {
 			if e2 != e {
-				interf += m.powers[e2] / math.Pow(m.sendPos[e2].Dist(recv), alpha)
+				interf += m.powers[e2] / m.pathLoss(m.sendPos[e2].Dist(recv))
 			}
 		}
 		sc.out[i] = m.signals[e] >= beta*interf
@@ -595,32 +664,56 @@ func (m *FixedPower) fillIndexedGridRange(sc *fpScratch, slot, lo, hi int) {
 // budget. Per-slot cost is the number of cells and points within the
 // stop radius — local density, not n.
 //
-// The ring walk stops as soon as the verdict on the finished Î is
-// certain, usually many rings before Î itself is finished:
-//   - failure once β·(near+tail) > signal: float sums of non-negative
-//     terms only grow, so the finished estimate fails too;
-//   - success once β·(near + tail + rest)·farGrow ≤ signal, where rest
-//     charges the remaining mass (rem + remSlack) at the rounding-safe
-//     floor of the outer distance: every term the finished walk could
-//     still add — exact, aggregated or the closing far-field bound —
-//     charges its own share of that mass at no less than that distance.
-//
-// Either way the verdict is the one the finished walk gives, bit for
-// bit (spatial_test.go keeps that walk as the reference oracle).
+// The verdict is the one the finished walk with math.Pow powers gives,
+// bit for bit (spatial_test.go keeps that walk as the reference
+// oracle). At odd α the walk first runs on cheap certified far-cell
+// powers (ringWalk); when that leaves the threshold inside the cheap
+// tail's rounding band, the receiver is walked again on the exact
+// powers, and the re-walk is counted.
 //
 // ringp is the caller's reusable ring-cell buffer (one per worker under
 // parallel resolution); it is grown in place and written back.
 func (m *FixedPower) indexedVerdict(sc *fpScratch, e int, ringp *[]int32) bool {
+	v, settled := m.ringWalk(sc, e, ringp, m.oddHalf == 0)
+	if !settled {
+		sc.rewalks.Add(1)
+		m.rewalks.Add(1)
+		v, _ = m.ringWalk(sc, e, ringp, true)
+	}
+	return v
+}
+
+// ringWalk is indexedVerdict's ring walk. With exact set, every power is
+// math.Pow's (or geom.PowInt's, the same bits) and the walk always
+// settles. Otherwise α is odd and each far-cell power d²^(α/2) is the
+// cheap d²^((α−1)/2)·√d²: the walk carries that tail sum and brackets
+// the exact one by [tail·tailLo, tail·tailHi] (beginGridSlot). It
+// reports settled = false when the bracket cannot decide the verdict or
+// a cheap value leaves the range the bracket is proved for.
+//
+// The walk stops as soon as the verdict on the finished Î is certain,
+// usually many rings before Î itself is finished:
+//   - failure once β·(near + lo) > signal, lo the bracket's low end:
+//     float sums of non-negative terms only grow and rounded addition
+//     is monotone, so the finished estimate fails too;
+//   - success once β·(near + hi + rest)·farGrow ≤ signal, hi the
+//     bracket's high end, where rest charges the remaining mass
+//     (rem + remSlack) at the rounding-safe floor of the outer distance:
+//     every term the finished walk could still add — exact, aggregated
+//     or the closing far-field bound — charges its own share of that
+//     mass at no less than that distance.
+func (m *FixedPower) ringWalk(sc *fpScratch, e int, ringp *[]int32, exact bool) (verdict, settled bool) {
 	alpha, beta := m.prm.Alpha, m.prm.Beta
 	grid := &sc.grid
 	q := m.recvPos[e]
 	signal := m.signals[e]
-	near, tail := m.prm.Noise, 0.0
+	near, tail, closure := m.prm.Noise, 0.0, 0.0
+	loF, hiF := 1.0, 1.0
+	if !exact {
+		loF, hiF = sc.tailLo, sc.tailHi
+	}
 	budget := m.opts.FarFloor * signal / beta
-	// A single interferer at distance d contributes p/d^α ≥ budget only
-	// when d^α ≤ pmax/budget: cells beyond that radius hold only
-	// below-floor interferers and may be aggregated.
-	rex2 := math.Pow(m.pmax/budget, 2/alpha)
+	rex2 := m.rex2[e]
 	cx, cy := grid.CellAt(q)
 	visited := 0.0
 	maxRing := grid.MaxRing(cx, cy)
@@ -636,16 +729,24 @@ func (m *FixedPower) indexedVerdict(sc *fpScratch, e int, ringp *[]int32) bool {
 			}
 			visited += w
 			d2 := grid.CellMinDistSqAt(q, ci)
-			if d2 <= rex2 {
+			switch {
+			case d2 <= rex2:
 				for _, id := range grid.CellIDsAt(ci) {
 					e2 := int(id)
 					if e2 == e {
 						continue
 					}
-					near += m.powers[e2] / math.Pow(m.sendPos[e2].Dist(q), alpha)
+					near += m.powers[e2] / m.pathLoss(m.sendPos[e2].Dist(q))
 				}
-			} else {
-				tail += w / math.Pow(d2, alpha/2)
+			case exact:
+				tail += w / m.halfPow(d2)
+			default:
+				c := geom.PowInt(d2, m.oddHalf) * math.Sqrt(d2)
+				t := w / c
+				tail += t
+				if !(c >= 0x1p-1000 && c <= 0x1p1000 && t >= 0x1p-1000 && tail <= 0x1p1000) {
+					return false, false
+				}
 			}
 		}
 		if !cont {
@@ -660,18 +761,35 @@ func (m *FixedPower) indexedVerdict(sc *fpScratch, e int, ringp *[]int32) bool {
 			break
 		}
 		if b := geom.FarFieldBound(alpha, rem, od); b <= budget {
-			tail += b
+			closure = b
 			break
 		}
-		if beta*(near+tail) > signal {
-			return false
+		if beta*(near+tail*loF) > signal {
+			return false, true
 		}
 		rest := certainFarBound(alpha, rem+sc.remSlack, grid.OuterDistFloor(q, od))
-		if beta*((near+tail+rest)*sc.farGrow) <= signal {
-			return true
+		if beta*((near+tail*hiF+rest)*sc.farGrow) <= signal {
+			return true, true
 		}
 	}
-	return signal >= beta*(near+tail)
+	// The finished walk adds the far-field closure last: with the exact
+	// tail T, its verdict is signal ≥ β·(near + (T + closure)).
+	if signal >= beta*(near+(tail*hiF+closure)) {
+		return true, true
+	}
+	if signal < beta*(near+(tail*loF+closure)) {
+		return false, true
+	}
+	return false, false
+}
+
+// halfPow is the exact far-cell power d²^(α/2): geom.PowInt's at even α,
+// math.Pow's otherwise.
+func (m *FixedPower) halfPow(d2 float64) float64 {
+	if m.halfInt > 0 {
+		return geom.PowInt(d2, m.halfInt)
+	}
+	return math.Pow(d2, m.prm.Alpha/2)
 }
 
 // certainFarBound is geom.FarFieldBound(alpha, mass, dist) where
@@ -682,7 +800,7 @@ func certainFarBound(alpha, mass, dist float64) float64 {
 	if !(dist > 0) {
 		return math.Inf(1)
 	}
-	den := math.Pow(dist, alpha)
+	den := geom.Pow(dist, alpha)
 	if !(den >= 0x1p-1000) || math.IsInf(den, 1) {
 		return math.Inf(1)
 	}
@@ -694,8 +812,10 @@ func certainFarBound(alpha, mass, dist float64) float64 {
 // steady-state resolution performs no allocations and (on the table
 // backings) no math.Pow calls — each interference term is one table
 // read. The indexed backing re-buckets the transmitting senders into its
-// reusable grid each slot and computes the near terms on the fly.
-// Large slots are sharded across the intra-slot worker pool per
+// reusable grid each slot and computes the interference terms on the
+// fly: by a few multiplications when α is whole (geom.PowInt, with
+// math.Pow's bits), by math.Pow otherwise, and at odd α each far-cell
+// power by the certified d²^((α−1)/2)·√d² (indexedVerdict). Large slots are sharded across the intra-slot worker pool per
 // Options.Parallelism (default GOMAXPROCS); results are bit-identical
 // at every worker count.
 func (m *FixedPower) NewResolver() func(tx []int) []bool {
@@ -717,7 +837,7 @@ func (m *FixedPower) NewStatsResolver(workers int) (func(tx []int) []bool, func(
 	}
 	resolve, sc := m.newResolver(workers)
 	return resolve, func() interference.ResolveStats {
-		return interference.ResolveStats{Workers: sc.workers, GridRebuilds: sc.rebuilds, GridDeltaUpdates: sc.deltas}
+		return interference.ResolveStats{Workers: sc.workers, GridRebuilds: sc.rebuilds, GridDeltaUpdates: sc.deltas, Rewalks: sc.rewalks.Load()}
 	}
 }
 
@@ -739,5 +859,6 @@ func (m *FixedPower) ResolveStats() interference.ResolveStats {
 		Workers:          m.opts.workers(m.NumLinks()),
 		GridRebuilds:     m.gridRebuilds.Load(),
 		GridDeltaUpdates: m.gridDeltaUpdates.Load(),
+		Rewalks:          m.rewalks.Load(),
 	}
 }

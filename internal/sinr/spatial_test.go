@@ -415,11 +415,17 @@ func TestIndexedVerdictMatchesFullWalk(t *testing.T) {
 // checkTies moves link e's signal onto the threshold β·Î of the finished
 // estimate (iterating, since the signal also sets the floor budget) and
 // two ulps either side, and compares indexedVerdict with the oracle at
-// each. It restores the signal and returns the number of checks.
+// each. It restores the signal and returns the number of checks. Each
+// signal it sets refreshes the link's exact radius, which the model
+// keeps per link.
 func checkTies(t *testing.T, m *FixedPower, sc *fpScratch, e int) int {
 	t.Helper()
+	setSignal := func(s float64) {
+		m.signals[e] = s
+		m.rex2[e] = m.exactRadiusSq(s)
+	}
 	orig := m.signals[e]
-	defer func() { m.signals[e] = orig }()
+	defer setSignal(orig)
 	sig := orig
 	for i := 0; i < 4; i++ {
 		near, tail := fullWalk(m, sc, e, nil)
@@ -428,13 +434,13 @@ func checkTies(t *testing.T, m *FixedPower, sc *fpScratch, e int) int {
 			break
 		}
 		sig = next
-		m.signals[e] = sig
+		setSignal(sig)
 	}
 	lo, hi := math.Nextafter(sig, 0), math.Nextafter(sig, math.Inf(1))
 	probes := []float64{math.Nextafter(lo, 0), lo, sig, hi, math.Nextafter(hi, math.Inf(1))}
 	var ring []int32
 	for _, s := range probes {
-		m.signals[e] = s
+		setSignal(s)
 		if got, want := m.indexedVerdict(sc, e, &ring), oracleVerdict(m, sc, e); got != want {
 			t.Fatalf("link %d at signal %v (threshold %v): verdict %v, full walk %v", e, s, sig, got, want)
 		}

@@ -169,9 +169,11 @@ func RequestMeasure(m interference.Model, reqs []Request) float64 {
 // random selection and removal per link. It is the common bookkeeping of
 // the randomized algorithms.
 type pendingSet struct {
-	byLink  [][]int // link → indices of pending requests
+	byLink  [][]int // link → indices of pending requests, a capped view into flat
 	pos     []int   // request index → position within its link slice, -1 when served
 	links   []int   // request index → link
+	flat    []int   // every request index, grouped by link, ascending within a link
+	start   []int   // link → offset of its group in flat; start[numLinks] = len(flat)
 	pending int
 }
 
@@ -183,23 +185,37 @@ func newPendingSet(numLinks int, reqs []Request) *pendingSet {
 
 // reset rebuilds the set for a new request batch, reusing every buffer
 // that is large enough. The resulting state is identical to a freshly
-// constructed set.
+// constructed set. The per-link lists are one counting sort of the
+// batch by link, so each link lists its requests in batch order and the
+// set allocates nothing per link.
 func (p *pendingSet) reset(numLinks int, reqs []Request) {
 	if cap(p.byLink) < numLinks {
 		p.byLink = make([][]int, numLinks)
 	} else {
 		p.byLink = p.byLink[:numLinks]
-		for i := range p.byLink {
-			p.byLink[i] = p.byLink[i][:0]
-		}
 	}
 	p.pos = resizeInts(p.pos, len(reqs))
 	p.links = resizeInts(p.links, len(reqs))
+	p.flat = resizeInts(p.flat, len(reqs))
+	p.start = resizeInts(p.start, numLinks+1)
+	clear(p.start)
 	p.pending = len(reqs)
+	// start[l+1] first counts link l's requests, then becomes the end of
+	// its group by a prefix sum.
 	for i, q := range reqs {
 		p.links[i] = q.Link
-		p.pos[i] = len(p.byLink[q.Link])
-		p.byLink[q.Link] = append(p.byLink[q.Link], i)
+		p.pos[i] = p.start[q.Link+1]
+		p.start[q.Link+1]++
+	}
+	for l := 0; l < numLinks; l++ {
+		p.start[l+1] += p.start[l]
+	}
+	for i, l := range p.links {
+		p.flat[p.start[l]+p.pos[i]] = i
+	}
+	for l := range p.byLink {
+		lo, hi := p.start[l], p.start[l+1]
+		p.byLink[l] = p.flat[lo:hi:hi]
 	}
 }
 

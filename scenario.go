@@ -538,10 +538,12 @@ func (s Scenario) Run(ctx context.Context) (*SimResult, error) {
 // Replicate runs the scenario `reps` times through the execution
 // planner — one unit per replication, each a fully-resolved scenario
 // at the derived seed SubSeed(Sim.Seed, rep) — on a pool of
-// Sim.Parallel workers, rebuilding every component (and observer) per
-// replication. Results are bit-identical for every pool size. When ctx
-// is cancelled mid-way it returns the aggregate over the completed
-// replications together with an error wrapping the context's error.
+// Sim.Parallel workers. The replications share one network (graph,
+// routes and interference model) through a ModelCache; each builds its
+// own injection process, protocol and observers. Results are
+// bit-identical for every pool size. When ctx is cancelled mid-way it
+// returns the aggregate over the completed replications together with
+// an error wrapping the context's error.
 func (s Scenario) Replicate(ctx context.Context, reps int) (*ReplicateResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -549,7 +551,7 @@ func (s Scenario) Replicate(ctx context.Context, reps int) (*ReplicateResult, er
 	if reps < 1 {
 		return nil, fmt.Errorf("dynsched: scenario %q: reps %d must be positive", s.Name, reps)
 	}
-	pr, err := s.replicatePlan(reps).Execute(ctx, ExecOptions{})
+	pr, err := s.replicatePlan(reps).Execute(ctx, ExecOptions{Models: NewModelCache()})
 	if err != nil {
 		var ue *PlanUnitError
 		if errors.As(err, &ue) {
@@ -574,6 +576,7 @@ type SweepPoint struct {
 // RunSweep decomposes the scenario's sweep into an execution plan —
 // one unit per value for a single axis, one per cross-product point
 // for a grid — and runs the units on a pool of Sim.Parallel workers.
+// Units that share a network build it once, through one ModelCache.
 // Points come back in canonical unit order and are bit-identical for
 // every pool size. When ctx is cancelled mid-sweep it returns the
 // completed points together with the run's error. (Observer factories
@@ -590,7 +593,7 @@ func (s Scenario) RunSweep(ctx context.Context) ([]SweepPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr, err := p.Execute(ctx, ExecOptions{})
+	pr, err := p.Execute(ctx, ExecOptions{Models: NewModelCache()})
 	if err != nil {
 		var ue *PlanUnitError
 		if errors.As(err, &ue) {

@@ -182,3 +182,58 @@ func TestManyRoutesAllocs(t *testing.T) {
 	}
 	checkPaths("after a checkpoint resume")
 }
+
+// TestWarmSpatialUnitAllocs guards the per-unit allocation count of a
+// warm perfbench spatial unit (BenchmarkSpatialUnit16k's shape: 16384
+// links, 300 slots, about 33k packets over 32768 single-hop routes) on
+// a cached model: compiling the process and protocol on the cached
+// network and running it must allocate under 1000 objects, so no cost
+// of the unit scales with the link count or the packet count. The
+// static algorithms' per-frame request bookkeeping is the known risk:
+// a slice per link per frame is about 16k allocations.
+func TestWarmSpatialUnitAllocs(t *testing.T) {
+	testenv.SkipIfRace(t)
+	sc := spatial16k()
+	sc.Sim.WarmupFrac, sc.Sim.Parallel, sc.Sim.ResolveParallelism = 0.1, 1, 2
+	mc := NewModelCache()
+	if _, err := mc.Compile(sc); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		sc.Sim.Seed++
+		cs, err := mc.Compile(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cs.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 1000 {
+		t.Errorf("warm spatial unit allocates %.0f objects, want < 1000", allocs)
+	}
+	t.Logf("%.0f allocs per warm unit", allocs)
+}
+
+// TestSpatialRunNoRewalks: on perfbench spatial's workload at seed 1
+// (α = 3, ε = 0.02) the certified far-cell tail decides every indexed
+// verdict, so the run re-walks no receiver with exact powers. The run
+// reports through the tracing observer, which folds the resolver's
+// accounting into the shared counters the way it folds grid rebuilds.
+func TestSpatialRunNoRewalks(t *testing.T) {
+	cs, err := spatial16k().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	em := sim.NewEngineMetrics(metrics.NewRegistry())
+	cs.Observers = append(cs.Observers, em.NewObserver(0))
+	if _, err := cs.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := em.GridRebuilds.Value() + em.GridDeltaUpdates.Value(); got == 0 {
+		t.Fatal("the run folded no grid work into the shared counters")
+	}
+	if got := em.Rewalks.Value(); got != 0 {
+		t.Errorf("seed-1 spatial run re-walked %d verdicts, want 0", got)
+	}
+}
