@@ -85,15 +85,17 @@ func BenchmarkMeasure64Links(b *testing.B) {
 	}
 }
 
-// weightOnlyModel hides a model's fast-path extensions (RowsProvider,
-// SlotResolver), forcing the generic O(E²) Weight-call evaluation — the
-// pre-sparse baseline the CSR path is measured against.
+// weightOnlyModel hides a model's RowsProvider fast path, forcing the
+// generic O(E²) Weight-call evaluation — the pre-sparse baseline the
+// CSR path is measured against.
 type weightOnlyModel struct{ m interference.Model }
 
-func (w weightOnlyModel) Name() string              { return w.m.Name() + "-dense" }
-func (w weightOnlyModel) NumLinks() int             { return w.m.NumLinks() }
-func (w weightOnlyModel) Weight(e, e2 int) float64  { return w.m.Weight(e, e2) }
-func (w weightOnlyModel) Successes(tx []int) []bool { return w.m.Successes(tx) }
+func (w weightOnlyModel) Name() string             { return w.m.Name() + "-dense" }
+func (w weightOnlyModel) NumLinks() int            { return w.m.NumLinks() }
+func (w weightOnlyModel) Weight(e, e2 int) float64 { return w.m.Weight(e, e2) }
+func (w weightOnlyModel) NewResolver(workers int) (func(tx []int) []bool, func() interference.ResolveStats) {
+	return w.m.NewResolver(workers)
+}
 
 func BenchmarkMeasure64LinksDense(b *testing.B) {
 	m := weightOnlyModel{benchSINRModel(b, 64)}
@@ -129,11 +131,11 @@ func BenchmarkIncrementalMeasure64(b *testing.B) {
 }
 
 // BenchmarkSINRSuccesses16Tx measures steady-state slot resolution —
-// the path sim.Run drives via interference.ResolveFunc: a reusable
+// the path sim.Run drives through the model's resolver: a reusable
 // resolver summing precomputed cross gains, zero allocations per slot.
 func BenchmarkSINRSuccesses16Tx(b *testing.B) {
 	m := benchSINRModel(b, 64)
-	resolve := interference.ResolveFunc(m)
+	resolve, _ := m.NewResolver(0)
 	tx := make([]int, 16)
 	for i := range tx {
 		tx[i] = i * 4
@@ -143,21 +145,6 @@ func BenchmarkSINRSuccesses16Tx(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resolve(tx)
-	}
-}
-
-// BenchmarkSINRSuccessesAlloc16Tx measures the allocating Successes
-// entry point (fresh result slice per call, pooled counting scratch).
-func BenchmarkSINRSuccessesAlloc16Tx(b *testing.B) {
-	m := benchSINRModel(b, 64)
-	tx := make([]int, 16)
-	for i := range tx {
-		tx[i] = i * 4
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Successes(tx)
 	}
 }
 
@@ -467,10 +454,6 @@ func BenchmarkSpatialUnit16k(b *testing.B) {
 // keeps the resolver's results.
 func BenchmarkSlotResolveSpatial16k(b *testing.B) {
 	cs := compileSpatial16k(b)
-	m, ok := cs.Model.(interference.ParallelResolver)
-	if !ok {
-		b.Fatalf("model %T has no pinned-worker resolver", cs.Model)
-	}
 	capture := &frameCapture{}
 	cs.Observers = append(cs.Observers, capture)
 	if _, err := cs.Run(context.Background()); err != nil {
@@ -479,7 +462,7 @@ func BenchmarkSlotResolveSpatial16k(b *testing.B) {
 	if len(capture.slots) == 0 {
 		b.Fatal("no slot transmitted")
 	}
-	resolve := m.NewResolverN(1)
+	resolve, _ := cs.Model.NewResolver(1)
 	tx := 0
 	for _, slot := range capture.slots {
 		resolve(slot) // warm the resolver's scratch and grid
@@ -569,7 +552,7 @@ func benchSlotResolve(b *testing.B, n, k, workers int) {
 	m := benchIndexedModel(b, n)
 	rng := rand.New(rand.NewSource(6))
 	tx := rng.Perm(n)[:k]
-	resolve := m.NewResolverN(workers)
+	resolve, _ := m.NewResolver(workers)
 	resolve(tx) // warm the per-resolver scratch buffers
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -597,7 +580,7 @@ func BenchmarkSlotResolveDelta100k(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	base := rng.Perm(n)[:k+overlap]
 	txA, txB := base[:k], base[overlap:]
-	resolve := m.NewResolverN(1)
+	resolve, _ := m.NewResolver(1)
 	resolve(txA) // warm scratch and seed the grid selection
 	resolve(txB)
 	b.ReportAllocs()

@@ -22,25 +22,32 @@ import (
 // quantity with the pre-table inline math.Pow formulas — and the full
 // Result JSON must be byte-identical.
 
-// preTableModel hides a model's fast-path extensions (RowsProvider,
-// SlotResolver), forcing the engine onto the allocating Successes path,
-// exactly like the weightOnlyModel shim the benchmarks use.
+// preTableModel hides a model's RowsProvider fast path, exactly like
+// the weightOnlyModel shim the benchmarks use; slots still resolve
+// through the wrapped model's resolver.
 type preTableModel struct{ m Model }
 
-func (w preTableModel) Name() string              { return w.m.Name() + "-pretable" }
-func (w preTableModel) NumLinks() int             { return w.m.NumLinks() }
-func (w preTableModel) Weight(e, e2 int) float64  { return w.m.Weight(e, e2) }
-func (w preTableModel) Successes(tx []int) []bool { return w.m.Successes(tx) }
+func (w preTableModel) Name() string             { return w.m.Name() + "-pretable" }
+func (w preTableModel) NumLinks() int            { return w.m.NumLinks() }
+func (w preTableModel) Weight(e, e2 int) float64 { return w.m.Weight(e, e2) }
+func (w preTableModel) NewResolver(workers int) (func(tx []int) []bool, func() interference.ResolveStats) {
+	return w.m.NewResolver(workers)
+}
 
 // preTableFixedPower re-derives the exact SINR test of the fixed-power
 // model with the pre-table formulas: per-pair math.Pow path loss, the
-// d == 0 short-circuit, and the per-call ok map.
+// d == 0 short-circuit, and the per-call ok map. Its resolver is that
+// allocating oracle.
 type preTableFixedPower struct {
 	preTableModel
 	fp *sinr.FixedPower
 }
 
-func (w preTableFixedPower) Successes(tx []int) []bool {
+func (w preTableFixedPower) NewResolver(int) (func(tx []int) []bool, func() interference.ResolveStats) {
+	return w.successes, interference.SerialStats
+}
+
+func (w preTableFixedPower) successes(tx []int) []bool {
 	m := w.fp
 	g, prm := m.Graph(), m.Params()
 	out := make([]bool, len(tx))
@@ -87,10 +94,15 @@ func (w preTableFixedPower) Successes(tx []int) []bool {
 // preTablePowerControl re-derives the power-control feasibility test
 // with the pre-table formulas: fresh gain matrices built from math.Pow
 // per call, the same fixed-point iteration bounds the model uses
-// (maxIter 200, power cap 1e18), and allocation-heavy shedding.
+// (maxIter 200, power cap 1e18), and allocation-heavy shedding. Its
+// resolver is that allocating oracle.
 type preTablePowerControl struct {
 	preTableModel
 	pc *sinr.PowerControl
+}
+
+func (w preTablePowerControl) NewResolver(int) (func(tx []int) []bool, func() interference.ResolveStats) {
+	return w.successes, interference.SerialStats
 }
 
 func (w preTablePowerControl) solvable(set []int) bool {
@@ -151,7 +163,7 @@ func (w preTablePowerControl) solvable(set []int) bool {
 	return false
 }
 
-func (w preTablePowerControl) Successes(tx []int) []bool {
+func (w preTablePowerControl) successes(tx []int) []bool {
 	m := w.pc
 	out := make([]bool, len(tx))
 	if len(tx) == 0 {

@@ -39,10 +39,11 @@ import (
 // too slow for a smoke run.
 const microBenches = "^(BenchmarkMeasure64Links|BenchmarkMeasure64LinksDense|" +
 	"BenchmarkIncrementalMeasure64|BenchmarkSINRSuccesses16Tx|" +
-	"BenchmarkSINRSuccessesAlloc16Tx|BenchmarkAffectanceMatrixBuild64|" +
+	"BenchmarkAffectanceMatrixBuild64|" +
 	"BenchmarkStaticDecay|BenchmarkStaticSpread|BenchmarkPowerControlSolve8|" +
 	"BenchmarkDynamicProtocolSlot|BenchmarkDynamicProtocolSlotTraced|" +
 	"BenchmarkPlanSweep64|BenchmarkSlotResolve100k|BenchmarkSlotResolveDelta100k|" +
+	"BenchmarkSlotResolveSpatial16k|BenchmarkStochasticStep16k|" +
 	"BenchmarkJournalAppend|BenchmarkCheckpoint100k)$"
 
 // scaleBenches are the heavy benchmarks included only when -scale is

@@ -72,15 +72,16 @@ func (q *queues) total() int { return len(q.packets) }
 // 2-approximation). It needs global queue knowledge and a feasibility
 // oracle — everything the paper's distributed protocol does without.
 type MaxWeight struct {
-	model interference.Model
-	q     *queues
+	resolve func(tx []int) []bool // the model's feasibility oracle
+	q       *queues
 }
 
 var _ sim.Protocol = (*MaxWeight)(nil)
 
 // NewMaxWeight builds the scheduler for the model.
 func NewMaxWeight(m interference.Model) *MaxWeight {
-	return &MaxWeight{model: m, q: newQueues(m.NumLinks())}
+	resolve, _ := m.NewResolver(0)
+	return &MaxWeight{resolve: resolve, q: newQueues(m.NumLinks())}
 }
 
 // Name implements sim.Protocol.
@@ -112,9 +113,9 @@ func (mw *MaxWeight) Slot(t int64, rng *rand.Rand) []sim.Transmission {
 	})
 	var set []int
 	for _, c := range cands {
-		trial := append(append([]int(nil), set...), c.link)
-		if interference.SlotFeasible(mw.model, trial) {
-			set = trial
+		set = append(set, c.link)
+		if !interference.SlotFeasible(mw.resolve, set) {
+			set = set[:len(set)-1]
 		}
 	}
 	out := make([]sim.Transmission, 0, len(set))

@@ -15,6 +15,7 @@ import (
 // and bound over links 0..n-1. It is exponential in the worst case;
 // intended for n ≲ 24 (tests and small OPT references).
 func MaxFeasibleExact(m interference.Model, maxLinks int) []int {
+	resolve, _ := m.NewResolver(0)
 	n := m.NumLinks()
 	if maxLinks > 0 && maxLinks < n {
 		n = maxLinks
@@ -33,7 +34,7 @@ func MaxFeasibleExact(m interference.Model, maxLinks int) []int {
 		}
 		// Branch 1: include next, if the set stays feasible.
 		trial := append(chosen, next)
-		if interference.SlotFeasible(m, trial) {
+		if interference.SlotFeasible(resolve, trial) {
 			rec(next+1, trial)
 		}
 		// Branch 2: exclude next.
@@ -46,11 +47,19 @@ func MaxFeasibleExact(m interference.Model, maxLinks int) []int {
 // GreedyFeasible builds a feasible set greedily in the given link
 // order, keeping each link whose addition leaves the whole set feasible.
 func GreedyFeasible(m interference.Model, order []int) []int {
+	resolve, _ := m.NewResolver(0)
+	return greedyFeasible(resolve, order)
+}
+
+// greedyFeasible is GreedyFeasible on a resolver the caller reuses:
+// each candidate is appended, tested in place and popped again when the
+// set stops being feasible.
+func greedyFeasible(resolve func(tx []int) []bool, order []int) []int {
 	var set []int
 	for _, e := range order {
-		trial := append(append([]int(nil), set...), e)
-		if interference.SlotFeasible(m, trial) {
-			set = trial
+		set = append(set, e)
+		if !interference.SlotFeasible(resolve, set) {
+			set = set[:len(set)-1]
 		}
 	}
 	return set
@@ -62,8 +71,9 @@ func GreedyFeasible(m interference.Model, order []int) []int {
 func RandomizedGreedy(rng *rand.Rand, m interference.Model, rounds int) []int {
 	var best []int
 	n := m.NumLinks()
+	resolve, _ := m.NewResolver(0)
 	for r := 0; r < rounds; r++ {
-		set := GreedyFeasible(m, rng.Perm(n))
+		set := greedyFeasible(resolve, rng.Perm(n))
 		if len(set) > len(best) {
 			best = set
 		}
@@ -99,15 +109,16 @@ func MeasureOfSet(m interference.Model, set []int) float64 {
 func MaxFeasibleMeasure(rng *rand.Rand, m interference.Model, rounds int) float64 {
 	best := 0.0
 	n := m.NumLinks()
+	resolve, _ := m.NewResolver(0)
 	for r := 0; r < rounds; r++ {
-		set := GreedyFeasible(m, rng.Perm(n))
+		set := greedyFeasible(resolve, rng.Perm(n))
 		if v := MeasureOfSet(m, set); v > best {
 			best = v
 		}
 	}
 	// Singletons are always feasible when noise permits; consider them too.
 	for e := 0; e < n; e++ {
-		if interference.SlotFeasible(m, []int{e}) {
+		if interference.SlotFeasible(resolve, []int{e}) {
 			if v := MeasureOfSet(m, []int{e}); v > best {
 				best = v
 			}

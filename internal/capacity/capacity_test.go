@@ -63,7 +63,7 @@ func TestGreedyNeverBeatsExact(t *testing.T) {
 			t.Fatalf("greedy found nothing, exact found %d", len(exact))
 		}
 		// Every returned set must actually be feasible.
-		if len(greedy) > 0 && !interference.SlotFeasible(m, greedy) {
+		if resolve, _ := m.NewResolver(1); len(greedy) > 0 && !interference.SlotFeasible(resolve, greedy) {
 			t.Fatal("greedy returned infeasible set")
 		}
 	}

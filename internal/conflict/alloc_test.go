@@ -18,26 +18,9 @@ func TestResolverZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := []int{0, 5, 9, 13, 17, 21, 25, 29, 2, 2}
-	resolve := m.NewResolver()
+	resolve, _ := m.NewResolver(0)
 	resolve(tx) // warm the reusable buffers
 	if got := testing.AllocsPerRun(200, func() { resolve(tx) }); got != 0 {
 		t.Errorf("conflict resolver: %v allocs per slot, want 0", got)
-	}
-}
-
-// TestSuccessesSingleAlloc pins that the Successes slow path allocates
-// only its result slice (the counting scratch is pooled).
-func TestSuccessesSingleAlloc(t *testing.T) {
-	testenv.SkipIfRace(t)
-	rng := rand.New(rand.NewSource(5))
-	cg := Random(rng, 32, 0.2)
-	m, err := NewModel(cg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := []int{0, 5, 9, 13}
-	m.Successes(tx) // warm the pool
-	if got := testing.AllocsPerRun(200, func() { m.Successes(tx) }); got > 1 {
-		t.Errorf("conflict Successes: %v allocs per call, want ≤ 1 (the result slice)", got)
 	}
 }

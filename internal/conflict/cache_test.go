@@ -9,7 +9,7 @@ import (
 // TestModelWeightRowsTracksGraphMutation guards the CSR cache against
 // the live-graph mutator: adding a conflict after NewModel must be
 // visible to Measure (which goes through WeightRows), not only to
-// Weight/Successes.
+// Weight and the resolvers.
 func TestModelWeightRowsTracksGraphMutation(t *testing.T) {
 	g := NewGraph(4)
 	if err := g.AddConflict(0, 1); err != nil {

@@ -319,16 +319,11 @@ type Model struct {
 	rowsMu      sync.Mutex
 	rows        *interference.Sparse
 	rowsVersion int64 // cg.version the cache was built at
-
-	// scratch pools counting buffers for the Successes slow path; the
-	// model may be shared across goroutines, so scratch is per-call.
-	scratch sync.Pool
 }
 
 var (
 	_ interference.Model        = (*Model)(nil)
 	_ interference.RowsProvider = (*Model)(nil)
-	_ interference.SlotResolver = (*Model)(nil)
 )
 
 // NewModel builds the interference model for cg under the given
@@ -355,15 +350,14 @@ func NewModel(cg *Graph, order []int) (*Model, error) {
 	// measure evaluations cost O(conflicts) instead of O(n²).
 	m.rows = interference.SparseFromWeights(cg.n, 1, m.Weight)
 	m.rowsVersion = cg.version
-	m.scratch.New = func() any { return interference.NewResolverScratch(cg.n) }
 	return m, nil
 }
 
 // WeightRows implements interference.RowsProvider. The CSR cache is
 // rebuilt if the underlying conflict graph gained edges after NewModel,
-// so Measure never desyncs from Weight/Successes (which read the live
-// graph); the mutex makes concurrent readers safe, but AddConflict must
-// still not race with them.
+// so Measure never desyncs from Weight and the resolvers (which read
+// the live graph); the mutex makes concurrent readers safe, but
+// AddConflict must still not race with them.
 func (m *Model) WeightRows() *interference.Sparse {
 	m.rowsMu.Lock()
 	defer m.rowsMu.Unlock()
@@ -394,50 +388,30 @@ func (m *Model) Weight(e, e2 int) float64 {
 // ConflictGraph returns the underlying conflict graph.
 func (m *Model) ConflictGraph() *Graph { return m.cg }
 
-// Successes implements interference.Model. Counting scratch comes from
-// a pool, so the only allocation is the returned slice; hot loops
-// should use NewResolver, which reuses that too.
-func (m *Model) Successes(tx []int) []bool {
-	out := make([]bool, len(tx))
-	if len(tx) == 0 {
-		return out
-	}
-	s := m.scratch.Get().(*interference.ResolverScratch)
-	s.Count(tx)
-	m.fillSuccesses(s, tx, out)
-	s.End(tx)
-	m.scratch.Put(s)
-	return out
-}
-
-// fillSuccesses resolves one counted slot into out: a transmission goes
-// through when its link is unique in the slot and no other transmitting
-// link conflicts with it.
-func (m *Model) fillSuccesses(s *interference.ResolverScratch, tx []int, out []bool) {
-	for i, e := range tx {
-		if s.Counts[e] != 1 {
-			continue
-		}
-		clear := true
-		for _, e2 := range s.Uniq {
-			if e2 != e && m.cg.Conflicts(e, e2) {
-				clear = false
-				break
-			}
-		}
-		out[i] = clear
-	}
-}
-
-// NewResolver implements interference.SlotResolver: identical slot
-// semantics to Successes with all buffers reused across calls —
-// steady-state resolution performs no allocations.
-func (m *Model) NewResolver() func(tx []int) []bool {
+// NewResolver implements interference.Model, serial whatever workers
+// asks: a transmission goes through when its link is unique in the
+// slot and no other transmitting link conflicts with it. All buffers
+// are reused across calls — steady-state resolution performs no
+// allocations.
+func (m *Model) NewResolver(int) (func(tx []int) []bool, func() interference.ResolveStats) {
 	s := interference.NewResolverScratch(m.cg.n)
-	return func(tx []int) []bool {
+	resolve := func(tx []int) []bool {
 		out := s.Begin(tx)
-		m.fillSuccesses(s, tx, out)
+		for i, e := range tx {
+			if s.Counts[e] != 1 {
+				continue
+			}
+			clear := true
+			for _, e2 := range s.Uniq {
+				if e2 != e && m.cg.Conflicts(e, e2) {
+					clear = false
+					break
+				}
+			}
+			out[i] = clear
+		}
 		s.End(tx)
 		return out
 	}
+	return resolve, interference.SerialStats
 }

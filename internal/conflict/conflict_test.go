@@ -194,16 +194,17 @@ func TestModelWeightsAndSuccesses(t *testing.T) {
 	if m.Weight(0, 2) != 0 || m.Weight(2, 0) != 0 {
 		t.Error("non-conflicting links should have weight 0")
 	}
-	// Successes: 0 and 1 conflict → both fail together; 2 independent.
-	s := m.Successes([]int{0, 1, 2})
+	// Slots: 0 and 1 conflict → both fail together; 2 independent.
+	resolve, _ := m.NewResolver(1)
+	s := resolve([]int{0, 1, 2})
 	if s[0] || s[1] || !s[2] {
 		t.Errorf("successes = %v", s)
 	}
-	if s := m.Successes([]int{0, 2}); !s[0] || !s[1] {
+	if s := resolve([]int{0, 2}); !s[0] || !s[1] {
 		t.Errorf("independent pair failed: %v", s)
 	}
 	// Duplicates fail.
-	if s := m.Successes([]int{2, 2}); s[0] || s[1] {
+	if s := resolve([]int{2, 2}); s[0] || s[1] {
 		t.Error("duplicate succeeded")
 	}
 }

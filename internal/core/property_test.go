@@ -98,6 +98,7 @@ func TestPotentialGeometricDecay(t *testing.T) {
 	rng := rand.New(rand.NewSource(203))
 	var samples []float64
 	var id int64
+	resolve, _ := model.NewResolver(1)
 	for tSlot := int64(0); tSlot < 3000*T/10; tSlot++ {
 		pkts := proc.Step(tSlot, rng)
 		for i := range pkts {
@@ -112,7 +113,7 @@ func TestPotentialGeometricDecay(t *testing.T) {
 		for i, w := range tx {
 			links[i] = w.Link
 		}
-		proto.Feedback(tSlot, tx, model.Successes(links))
+		proto.Feedback(tSlot, tx, resolve(links))
 		if tSlot%T == T-1 {
 			samples = append(samples, float64(proto.Potential()))
 		}
@@ -218,6 +219,7 @@ func TestLyapunovDriftNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(213))
 	drift := stats.NewDriftEstimator(0, 2, 5, 10)
 	var id int64
+	resolve, _ := model.NewResolver(1)
 	for tSlot := int64(0); tSlot < 60000*T/18; tSlot++ {
 		pkts := proc.Step(tSlot, rng)
 		for i := range pkts {
@@ -232,7 +234,7 @@ func TestLyapunovDriftNegative(t *testing.T) {
 		for i, w := range tx {
 			links[i] = w.Link
 		}
-		proto.Feedback(tSlot, tx, model.Successes(links))
+		proto.Feedback(tSlot, tx, resolve(links))
 		if tSlot%T == T-1 {
 			drift.Observe(float64(proto.Potential()))
 		}

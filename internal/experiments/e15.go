@@ -79,7 +79,7 @@ func E15SpatialScale(ctx context.Context, scale Scale, seed int64) (*Table, erro
 			slotTx[s] = rng.Perm(n)[:k]
 		}
 
-		resolve := indexed.NewResolver()
+		resolve, _ := indexed.NewResolver(0)
 		successes := 0
 		nearTotal := 0
 		sendPts := make([]geom.Point, k)
@@ -120,7 +120,9 @@ func E15SpatialScale(ctx context.Context, scale Scale, seed int64) (*Table, erro
 			if err != nil {
 				return nil, err
 			}
-			rZero, rFlat, rIdx := zero.NewResolver(), flat.NewResolver(), indexed.NewResolver()
+			rZero, _ := zero.NewResolver(0)
+			rFlat, _ := flat.NewResolver(0)
+			rIdx, _ := indexed.NewResolver(0)
 			for _, tx := range slotTx {
 				wantV, zeroV, idxV := rFlat(tx), rZero(tx), rIdx(tx)
 				for i := range tx {

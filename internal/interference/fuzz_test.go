@@ -77,7 +77,8 @@ func FuzzSuccessesInvariants(f *testing.F) {
 			counts[tx[i]]++
 		}
 		for _, m := range []Model{id, mac} {
-			out := m.Successes(tx)
+			resolve, _ := m.NewResolver(1)
+			out := resolve(tx)
 			if len(out) != len(tx) {
 				t.Fatalf("%s: %d results for %d attempts", m.Name(), len(out), len(tx))
 			}

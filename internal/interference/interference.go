@@ -7,8 +7,9 @@
 //	I = ‖W·R‖∞ = max_e Σ_e' W[e][e']·R(e').
 //
 // A Model couples the analysis matrix W with the slot-level transmission
-// semantics (which simultaneous transmissions succeed). Instantiations in
-// sibling packages cover the SINR model, conflict graphs, the
+// semantics (which simultaneous transmissions succeed), exposed as one
+// success oracle: the resolver Model.NewResolver builds. Instantiations
+// in sibling packages cover the SINR model, conflict graphs, the
 // multiple-access channel, and packet routing.
 package interference
 
@@ -20,7 +21,7 @@ import (
 // Model is an interference model over a fixed set of links 0..NumLinks-1.
 //
 // Weight is the analysis-side matrix W used to bound injection rates and
-// compute schedules' interference measures. Successes is the
+// compute schedules' interference measures. NewResolver builds the
 // physical-side ground truth that decides which simultaneous
 // transmissions are received; for geometric models the two sides are
 // deliberately distinct (W is derived from, but not identical to, the
@@ -34,12 +35,18 @@ type Model interface {
 	// transmission on e2 causes at e. Weight(e, e) must be 1 and all
 	// values must lie in [0, 1].
 	Weight(e, e2 int) float64
-	// Successes resolves one time slot. tx lists the links transmitting
-	// in this slot, with multiplicity: if a link appears more than once
-	// (two packets attempt the same link) all of its entries fail, since
-	// each link carries at most one packet per slot. The result has one
-	// entry per element of tx.
-	Successes(tx []int) []bool
+	// NewResolver returns a slot resolver and a function reporting that
+	// resolver's own accounting. resolve decides one time slot: tx
+	// lists the links transmitting in it, with multiplicity — if a link
+	// appears more than once (two packets attempt the same link) all of
+	// its entries fail, since each link carries at most one packet per
+	// slot. The result has one entry per element of tx and is valid
+	// only until the next call. A resolver is per-goroutine scratch:
+	// each goroutine builds its own, and stats must be called from the
+	// resolver's goroutine. workers is the intra-slot worker count (0 =
+	// the model's default; models that never shard ignore it), and the
+	// verdicts are identical at every worker count.
+	NewResolver(workers int) (resolve func(tx []int) []bool, stats func() ResolveStats)
 }
 
 // Measure returns I = ‖W·R‖∞ for an integer request vector R indexed by
@@ -143,9 +150,9 @@ func MeasureVec(m Model, f []float64) float64 {
 }
 
 // SlotFeasible reports whether every transmission in tx succeeds when
-// attempted simultaneously.
-func SlotFeasible(m Model, tx []int) bool {
-	for _, ok := range m.Successes(tx) {
+// attempted simultaneously under a model's resolver.
+func SlotFeasible(resolve func(tx []int) []bool, tx []int) bool {
+	for _, ok := range resolve(tx) {
 		if !ok {
 			return false
 		}

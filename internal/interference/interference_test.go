@@ -18,14 +18,15 @@ func TestIdentityModel(t *testing.T) {
 		t.Errorf("Measure = %v, want 5", got)
 	}
 	// All distinct links succeed simultaneously.
-	s := m.Successes([]int{0, 1, 2})
+	resolve, _ := m.NewResolver(1)
+	s := resolve([]int{0, 1, 2})
 	for i, ok := range s {
 		if !ok {
 			t.Errorf("tx %d failed under identity", i)
 		}
 	}
 	// Duplicate attempts on one link all fail; others unaffected.
-	s = m.Successes([]int{0, 0, 1})
+	s = resolve([]int{0, 0, 1})
 	if s[0] || s[1] || !s[2] {
 		t.Errorf("duplicate handling wrong: %v", s)
 	}
@@ -40,13 +41,14 @@ func TestAllOnesModel(t *testing.T) {
 	if got := Measure(m, []int{1, 2, 0, 3}); got != 6 {
 		t.Errorf("Measure = %v, want 6", got)
 	}
-	if s := m.Successes([]int{2}); !s[0] {
+	resolve, _ := m.NewResolver(1)
+	if s := resolve([]int{2}); !s[0] {
 		t.Error("lone transmission failed on MAC")
 	}
-	if s := m.Successes([]int{1, 2}); s[0] || s[1] {
+	if s := resolve([]int{1, 2}); s[0] || s[1] {
 		t.Error("simultaneous transmissions succeeded on MAC")
 	}
-	if s := m.Successes(nil); len(s) != 0 {
+	if s := resolve(nil); len(s) != 0 {
 		t.Error("empty slot produced successes")
 	}
 }
@@ -64,14 +66,15 @@ func TestDenseModel(t *testing.T) {
 	}
 	// Link 0 fails when links 1 and 2 both transmit (0.6+0.5 ≥ 1) but
 	// succeeds with either alone.
-	s := d.Successes([]int{0, 1, 2})
+	resolve, _ := d.NewResolver(1)
+	s := resolve([]int{0, 1, 2})
 	if s[0] {
 		t.Error("link 0 should fail under combined interference")
 	}
 	if !s[1] || !s[2] {
 		t.Error("links 1,2 should succeed (no incoming weight)")
 	}
-	s = d.Successes([]int{0, 1})
+	s = resolve([]int{0, 1})
 	if !s[0] || !s[1] {
 		t.Errorf("pairwise slot should succeed: %v", s)
 	}
@@ -170,14 +173,14 @@ func TestMeasurePanicsOnLengthMismatch(t *testing.T) {
 }
 
 func TestSlotFeasible(t *testing.T) {
-	m := Identity{Links: 3}
-	if !SlotFeasible(m, []int{0, 1}) {
+	resolve, _ := Identity{Links: 3}.NewResolver(1)
+	if !SlotFeasible(resolve, []int{0, 1}) {
 		t.Error("distinct identity links judged infeasible")
 	}
-	if SlotFeasible(m, []int{0, 0}) {
+	if SlotFeasible(resolve, []int{0, 0}) {
 		t.Error("duplicate slot judged feasible")
 	}
-	if SlotFeasible(m, nil) {
+	if SlotFeasible(resolve, nil) {
 		t.Error("empty slot judged feasible")
 	}
 }
@@ -200,8 +203,9 @@ func TestLossyModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	succ, total := 0, 2000
+	resolve, _ := l.NewResolver(1)
 	for i := 0; i < total; i++ {
-		if s := l.Successes([]int{0}); s[0] {
+		if s := resolve([]int{0}); s[0] {
 			succ++
 		}
 	}
@@ -211,7 +215,8 @@ func TestLossyModel(t *testing.T) {
 	}
 	// p = 0 must be transparent.
 	clean := &Lossy{Inner: inner, P: 0, Rand: rng.Float64}
-	if s := clean.Successes([]int{0, 1}); !s[0] || !s[1] {
+	resolveClean, _ := clean.NewResolver(1)
+	if s := resolveClean([]int{0, 1}); !s[0] || !s[1] {
 		t.Error("lossless wrapper dropped transmissions")
 	}
 }

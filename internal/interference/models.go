@@ -8,17 +8,6 @@ import (
 	"dynsched/internal/randx"
 )
 
-// countDup returns, for each entry of tx, whether its link appears more
-// than once in tx. Links carry at most one packet per slot, so duplicate
-// attempts on a link always fail.
-func countDup(numLinks int, tx []int) (counts []int) {
-	counts = make([]int, numLinks)
-	for _, e := range tx {
-		counts[e]++
-	}
-	return counts
-}
-
 // Identity is the packet-routing model: W is the identity matrix, so the
 // interference measure equals the congestion, and a transmission succeeds
 // whenever its link carries a single packet this slot (links do not
@@ -43,21 +32,11 @@ func (m Identity) Weight(e, e2 int) float64 {
 	return 0
 }
 
-// Successes implements Model.
-func (m Identity) Successes(tx []int) []bool {
-	counts := countDup(m.Links, tx)
-	out := make([]bool, len(tx))
-	for i, e := range tx {
-		out[i] = counts[e] == 1
-	}
-	return out
-}
-
 // WeightRows implements RowsProvider: the identity matrix in CSR form.
 func (m Identity) WeightRows() *Sparse { return SparseDiag(m.Links) }
 
-// NewResolver implements SlotResolver.
-func (m Identity) NewResolver() func(tx []int) []bool {
+// NewResolver implements Model: serial, whatever workers asks.
+func (m Identity) NewResolver(int) (func(tx []int) []bool, func() ResolveStats) {
 	s := NewResolverScratch(m.Links)
 	return func(tx []int) []bool {
 		out := s.Begin(tx)
@@ -66,7 +45,7 @@ func (m Identity) NewResolver() func(tx []int) []bool {
 		}
 		s.End(tx)
 		return out
-	}
+	}, SerialStats
 }
 
 // AllOnes is the multiple-access-channel model: every entry of W is 1, so
@@ -88,19 +67,11 @@ func (m AllOnes) NumLinks() int { return m.Links }
 // Weight implements Model.
 func (m AllOnes) Weight(e, e2 int) float64 { return 1 }
 
-// Successes implements Model.
-func (m AllOnes) Successes(tx []int) []bool {
-	out := make([]bool, len(tx))
-	if len(tx) == 1 {
-		out[0] = true
-	}
-	return out
-}
-
-// NewResolver implements SlotResolver. (AllOnes deliberately does not
-// implement RowsProvider: its matrix is fully dense, and Measure
-// special-cases it to the total request count instead.)
-func (m AllOnes) NewResolver() func(tx []int) []bool {
+// NewResolver implements Model: serial, whatever workers asks.
+// (AllOnes deliberately does not implement RowsProvider: its matrix is
+// fully dense, and Measure special-cases it to the total request count
+// instead.)
+func (m AllOnes) NewResolver(int) (func(tx []int) []bool, func() ResolveStats) {
 	s := NewResolverScratch(m.Links)
 	return func(tx []int) []bool {
 		out := s.Begin(tx)
@@ -109,7 +80,7 @@ func (m AllOnes) NewResolver() func(tx []int) []bool {
 		}
 		s.End(tx)
 		return out
-	}
+	}, SerialStats
 }
 
 // Dense is an explicit weight matrix with threshold transmission
@@ -180,27 +151,8 @@ func (d *Dense) NumLinks() int { return len(d.w) }
 // Weight implements Model.
 func (d *Dense) Weight(e, e2 int) float64 { return d.w[e][e2] }
 
-// Successes implements Model.
-func (d *Dense) Successes(tx []int) []bool {
-	counts := countDup(len(d.w), tx)
-	out := make([]bool, len(tx))
-	for i, e := range tx {
-		if counts[e] != 1 {
-			continue
-		}
-		sum := 0.0
-		for _, e2 := range tx {
-			if e2 != e {
-				sum += d.w[e][e2]
-			}
-		}
-		out[i] = sum < 1
-	}
-	return out
-}
-
-// NewResolver implements SlotResolver.
-func (d *Dense) NewResolver() func(tx []int) []bool {
+// NewResolver implements Model: serial, whatever workers asks.
+func (d *Dense) NewResolver(int) (func(tx []int) []bool, func() ResolveStats) {
 	s := NewResolverScratch(len(d.w))
 	return func(tx []int) []bool {
 		out := s.Begin(tx)
@@ -218,7 +170,7 @@ func (d *Dense) NewResolver() func(tx []int) []bool {
 		}
 		s.End(tx)
 		return out
-	}
+	}, SerialStats
 }
 
 // Lossy wraps a model and drops each otherwise-successful transmission
@@ -257,43 +209,22 @@ func (l *Lossy) NumLinks() int { return l.Inner.NumLinks() }
 // Weight implements Model.
 func (l *Lossy) Weight(e, e2 int) float64 { return l.Inner.Weight(e, e2) }
 
-// Successes implements Model.
-func (l *Lossy) Successes(tx []int) []bool { return l.applyLoss(l.Inner.Successes(tx)) }
-
-// applyLoss overlays the loss draws on an inner resolution, in slot
-// order. Successes and every resolver path share it, so they consume
-// the identical RNG stream.
-func (l *Lossy) applyLoss(out []bool) []bool {
-	for i, ok := range out {
-		if ok && l.Rand() < l.P {
-			out[i] = false
+// NewResolver implements Model by wrapping the inner model's resolver,
+// and its accounting, with the loss overlay: the hot loop inherits the
+// inner model's allocation-free resolution. The overlay itself is a
+// serial O(len(tx)) pass in slot order — its draw order is part of the
+// model's determinism contract.
+func (l *Lossy) NewResolver(workers int) (func(tx []int) []bool, func() ResolveStats) {
+	inner, stats := l.Inner.NewResolver(workers)
+	return func(tx []int) []bool {
+		out := inner(tx)
+		for i, ok := range out {
+			if ok && l.Rand() < l.P {
+				out[i] = false
+			}
 		}
-	}
-	return out
-}
-
-// NewResolver implements SlotResolver by wrapping the inner model's
-// resolver: the hot loop inherits the inner model's allocation-free
-// resolution, with the loss overlay on top.
-func (l *Lossy) NewResolver() func(tx []int) []bool {
-	inner := ResolveFunc(l.Inner)
-	return func(tx []int) []bool { return l.applyLoss(inner(tx)) }
-}
-
-// NewResolverN implements ParallelResolver, forwarding the worker-count
-// override to the inner model. The loss overlay itself is a serial
-// O(len(tx)) pass — its draw order is part of the model's determinism
-// contract.
-func (l *Lossy) NewResolverN(workers int) func(tx []int) []bool {
-	inner := ResolveFuncN(l.Inner, workers)
-	return func(tx []int) []bool { return l.applyLoss(inner(tx)) }
-}
-
-// NewStatsResolver implements StatsResolver: the inner model's run
-// resolver with the loss overlay on top.
-func (l *Lossy) NewStatsResolver(workers int) (func(tx []int) []bool, func() ResolveStats) {
-	inner, stats := RunResolver(l.Inner, workers)
-	return func(tx []int) []bool { return l.applyLoss(inner(tx)) }, stats
+		return out
+	}, stats
 }
 
 // ResolveStats implements ResolveStatsProvider by delegation.

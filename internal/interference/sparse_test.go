@@ -197,34 +197,6 @@ func TestIncrementalMeasureRemoveUnderflowPanics(t *testing.T) {
 	NewIncremental(Identity{Links: 3}).Remove(1)
 }
 
-func TestResolverMatchesSuccesses(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	models := []Model{
-		Identity{Links: 11},
-		AllOnes{Links: 11},
-		randomDense(t, rng, 11, 0.4),
-	}
-	for _, m := range models {
-		resolve := ResolveFunc(m)
-		for trial := 0; trial < 200; trial++ {
-			tx := make([]int, rng.Intn(9))
-			for i := range tx {
-				tx[i] = rng.Intn(m.NumLinks())
-			}
-			want := m.Successes(tx)
-			got := resolve(tx)
-			if len(got) != len(want) {
-				t.Fatalf("%s: resolver length %d, want %d", m.Name(), len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: tx %v: resolver %v, Successes %v", m.Name(), tx, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestSparseFromRowsAcrossBlocksAndWorkers assembles a matrix spanning
 // several row blocks, with empty rows and dropped zeros, and requires
 // the same entries at every worker count — and a panic for an emitter

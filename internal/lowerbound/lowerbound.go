@@ -45,25 +45,27 @@ func (m Model) Weight(e, e2 int) float64 {
 	return 0
 }
 
-// Successes implements interference.Model: a short link succeeds
-// whenever it carries one packet; the long link succeeds only alone.
-func (m Model) Successes(tx []int) []bool {
-	counts := make([]int, m.M)
-	for _, e := range tx {
-		counts[e]++
-	}
-	out := make([]bool, len(tx))
-	for i, e := range tx {
-		if counts[e] != 1 {
-			continue
+// NewResolver implements interference.Model, serial whatever workers
+// asks: a short link succeeds whenever it carries one packet; the long
+// link succeeds only alone.
+func (m Model) NewResolver(int) (func(tx []int) []bool, func() interference.ResolveStats) {
+	s := interference.NewResolverScratch(m.M)
+	resolve := func(tx []int) []bool {
+		out := s.Begin(tx)
+		for i, e := range tx {
+			if s.Counts[e] != 1 {
+				continue
+			}
+			if e == m.Long() {
+				out[i] = len(tx) == 1
+			} else {
+				out[i] = true
+			}
 		}
-		if e == m.Long() {
-			out[i] = len(tx) == 1
-		} else {
-			out[i] = true
-		}
+		s.End(tx)
+		return out
 	}
-	return out
+	return resolve, interference.SerialStats
 }
 
 // Network returns a single-hop graph whose m links match the model, and

@@ -15,23 +15,24 @@ func TestModelSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Short links succeed together.
-	s := m.Successes([]int{0, 1, 2})
+	resolve, _ := m.NewResolver(1)
+	s := resolve([]int{0, 1, 2})
 	for i, ok := range s {
 		if !ok {
 			t.Errorf("short link %d failed", i)
 		}
 	}
 	// The long link fails in company.
-	s = m.Successes([]int{0, 3})
+	s = resolve([]int{0, 3})
 	if !s[0] || s[1] {
 		t.Errorf("mixed slot: %v, want short ok / long failed", s)
 	}
 	// The long link succeeds alone.
-	if s := m.Successes([]int{3}); !s[0] {
+	if s := resolve([]int{3}); !s[0] {
 		t.Error("lone long transmission failed")
 	}
 	// Duplicates fail.
-	if s := m.Successes([]int{1, 1}); s[0] || s[1] {
+	if s := resolve([]int{1, 1}); s[0] || s[1] {
 		t.Error("duplicates succeeded")
 	}
 }

@@ -95,39 +95,51 @@ func (m *Model) WeightRows() *interference.Sparse { return m.cm.WeightRows() }
 // ConflictGraph exposes the derived conflict structure.
 func (m *Model) ConflictGraph() *conflict.Graph { return m.cm.ConflictGraph() }
 
-// Successes implements interference.Model with exact radio semantics: a
-// transmission u→v is received iff u transmits exactly one packet, v
-// hears exactly one transmitting node, v itself is silent, and the link
-// carries one packet.
-func (m *Model) Successes(tx []int) []bool {
-	out := make([]bool, len(tx))
-	if len(tx) == 0 {
+// NewResolver implements interference.Model with exact radio
+// semantics, serial whatever workers asks: a transmission u→v is
+// received iff u transmits exactly one packet, v hears exactly one
+// transmitting node, v itself is silent, and the link carries one
+// packet. The per-node sender loads live in a reused array that is
+// reset through the list of nodes the slot touched, so steady-state
+// resolution performs no allocations.
+func (m *Model) NewResolver(int) (func(tx []int) []bool, func() interference.ResolveStats) {
+	s := interference.NewResolverScratch(m.g.NumLinks())
+	load := make([]int, m.g.NumNodes())                   // packets per transmitting node
+	senders := make([]netgraph.NodeID, 0, m.g.NumNodes()) // nodes with load > 0
+	resolve := func(tx []int) []bool {
+		out := s.Begin(tx)
+		for _, e := range tx {
+			u := m.g.Link(netgraph.LinkID(e)).From
+			if load[u] == 0 {
+				senders = append(senders, u)
+			}
+			load[u]++
+		}
+		for i, e := range tx {
+			if s.Counts[e] != 1 {
+				continue
+			}
+			l := m.g.Link(netgraph.LinkID(e))
+			if load[l.From] != 1 {
+				continue // one radio cannot send two packets at once
+			}
+			if load[l.To] > 0 {
+				continue // the receiver is busy transmitting
+			}
+			audible := 0
+			for _, h := range m.hears[l.To] {
+				if load[h] > 0 {
+					audible++
+				}
+			}
+			out[i] = audible == 1 // exactly the intended sender
+		}
+		for _, u := range senders {
+			load[u] = 0
+		}
+		senders = senders[:0]
+		s.End(tx)
 		return out
 	}
-	counts := make([]int, m.g.NumLinks())
-	senderLoad := make(map[netgraph.NodeID]int) // packets per transmitting node
-	for _, e := range tx {
-		counts[e]++
-		senderLoad[m.g.Link(netgraph.LinkID(e)).From]++
-	}
-	for i, e := range tx {
-		if counts[e] != 1 {
-			continue
-		}
-		l := m.g.Link(netgraph.LinkID(e))
-		if senderLoad[l.From] != 1 {
-			continue // one radio cannot send two packets at once
-		}
-		if senderLoad[l.To] > 0 {
-			continue // the receiver is busy transmitting
-		}
-		audible := 0
-		for _, s := range m.hears[l.To] {
-			if senderLoad[s] > 0 {
-				audible++
-			}
-		}
-		out[i] = audible == 1 // exactly the intended sender
-	}
-	return out
+	return resolve, interference.SerialStats
 }

@@ -23,15 +23,16 @@ func TestRadioSemanticsOnLine(t *testing.T) {
 	l12, _ := g.FindLink(1, 2)
 	l23, _ := g.FindLink(2, 3)
 	l32, _ := g.FindLink(3, 2)
+	resolve, _ := m.NewResolver(1)
 
 	// A lone transmission succeeds.
-	if s := m.Successes([]int{int(l01)}); !s[0] {
+	if s := resolve([]int{int(l01)}); !s[0] {
 		t.Error("lone radio transmission failed")
 	}
 	// 0→1 and 2→3: node 2's transmission is audible at 1? Node 1 hears
 	// {0, 2}; both 0 and 2 transmit → collision at 1, link 2→3 has
 	// receiver 3 hearing only {2} → succeeds.
-	s := m.Successes([]int{int(l01), int(l23)})
+	s := resolve([]int{int(l01), int(l23)})
 	if s[0] {
 		t.Error("0→1 should collide (receiver 1 also hears 2)")
 	}
@@ -39,12 +40,12 @@ func TestRadioSemanticsOnLine(t *testing.T) {
 		t.Error("2→3 should succeed (receiver 3 hears only 2)")
 	}
 	// 0→1 and 1→2: node 1 cannot transmit and receive at once.
-	s = m.Successes([]int{int(l01), int(l12)})
+	s = resolve([]int{int(l01), int(l12)})
 	if s[0] {
 		t.Error("0→1 should fail while 1 transmits")
 	}
 	// 1→2 alone while 3→2 also fires: two audible senders at 2.
-	s = m.Successes([]int{int(l12), int(l32)})
+	s = resolve([]int{int(l12), int(l32)})
 	if s[0] || s[1] {
 		t.Error("colliding transmissions at node 2 succeeded")
 	}
@@ -57,7 +58,8 @@ func TestRadioDuplicatesFail(t *testing.T) {
 		t.Fatal(err)
 	}
 	l01, _ := g.FindLink(0, 1)
-	s := m.Successes([]int{int(l01), int(l01)})
+	resolve, _ := m.NewResolver(1)
+	s := resolve([]int{int(l01), int(l01)})
 	if s[0] || s[1] {
 		t.Error("duplicate radio attempts succeeded")
 	}
@@ -78,9 +80,10 @@ func TestRadioConflictGraphConsistent(t *testing.T) {
 	}
 	cg := m.ConflictGraph()
 	n := g.NumLinks()
+	resolve, _ := m.NewResolver(1)
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
-			s := m.Successes([]int{a, b})
+			s := resolve([]int{a, b})
 			bothOK := s[0] && s[1]
 			if cg.Conflicts(a, b) && bothOK {
 				t.Fatalf("links %d,%d conflict per graph but both succeeded", a, b)

@@ -58,11 +58,11 @@ type Observer interface {
 
 // ResolveObserver is an optional Observer extension notified once per
 // run, before the first slot, with a function reporting the run's own
-// slot-resolver accounting (interference.RunResolver): its intra-slot
-// worker count and the grid work of the slots resolved so far, exact
-// even when other runs share the model. Observers use it to surface
-// resolver statistics without touching the hot loop; call it from the
-// engine goroutine (OnSlot, OnEnd).
+// slot-resolver accounting (interference.Model.NewResolver): its
+// intra-slot worker count and the grid work of the slots resolved so
+// far, exact even when other runs share the model. Observers use it to
+// surface resolver statistics without touching the hot loop; call it
+// from the engine goroutine (OnSlot, OnEnd).
 type ResolveObserver interface {
 	OnResolve(stats func() interference.ResolveStats)
 }

@@ -67,15 +67,16 @@ type Config struct {
 	WarmupFrac float64
 	// MaxLatencySlots sizes the latency histogram (0 = Slots).
 	MaxLatencySlots int64
-	// ResolveParallelism requests an intra-slot worker count from models
-	// that support parallel slot resolution (interference
-	// ParallelResolver): 0 defers to the model's own default (typically
-	// GOMAXPROCS), 1 forces strictly serial resolution, n uses n
-	// workers. Models compiled from a scenario take the same value as
-	// their construction worker count (sinr.Options.Parallelism), so 1
-	// also builds their cross tables and weight matrices serially. It is
-	// a pure execution knob — results are bit-identical for every value
-	// — so it is excluded from scenario hashes.
+	// ResolveParallelism is the intra-slot worker count the run's
+	// resolver is built with (interference.Model.NewResolver): 0 defers
+	// to the model's own default (typically GOMAXPROCS), 1 forces
+	// strictly serial resolution, n uses n workers; models that never
+	// shard resolve serially whatever it asks. Models compiled from a
+	// scenario take the same value as their construction worker count
+	// (sinr.Options.Parallelism), so 1 also builds their cross tables
+	// and weight matrices serially. It is a pure execution knob —
+	// results are bit-identical for every value — so it is excluded
+	// from scenario hashes.
 	ResolveParallelism int
 	// Checkpoint configures periodic state capture and resume (nil
 	// disables both). Resumed runs are bit-identical to uninterrupted
@@ -222,10 +223,10 @@ func Run(ctx context.Context, cfg Config, model interference.Model, proc inject.
 	// steady-state packet lifecycle — inject, transmit, deliver —
 	// performs no heap allocations.
 	arena := newPacketArena()
-	// Per-run slot resolver and link buffer: models that support it
-	// resolve slots allocation-free (sharded across intra-slot workers
-	// when requested), and the link vector is reused.
-	resolve, resolveStats := interference.RunResolver(model, cfg.ResolveParallelism)
+	// Per-run slot resolver and link buffer: the model's resolver
+	// reuses its buffers (sharding large slots across intra-slot
+	// workers when asked), and the link vector is reused.
+	resolve, resolveStats := model.NewResolver(cfg.ResolveParallelism)
 	for _, o := range obs {
 		if ro, ok := o.(ResolveObserver); ok {
 			ro.OnResolve(resolveStats)

@@ -52,7 +52,7 @@ func TestFixedPowerResolverZeroAllocs(t *testing.T) {
 		allocTestFixedPower(t, WeightMonotone, Options{Backing: BackIndexed, FarFloor: 0.02}),
 	}
 	for _, m := range models {
-		resolve, stats := m.NewStatsResolver(0)
+		resolve, stats := m.NewResolver(0)
 		for _, tx := range sets {
 			resolve(tx) // warm the reusable buffers and the grid
 		}
@@ -69,19 +69,6 @@ func TestFixedPowerResolverZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestFixedPowerSuccessesSingleAlloc pins that the Successes slow path
-// allocates only its result slice (the ok map it used to build per call
-// is gone; counting scratch is pooled).
-func TestFixedPowerSuccessesSingleAlloc(t *testing.T) {
-	testenv.SkipIfRace(t)
-	m := allocTestFixedPower(t, WeightAffectance, Options{})
-	tx := []int{0, 4, 8, 12, 16, 20}
-	m.Successes(tx) // warm the pool
-	if got := testing.AllocsPerRun(200, func() { m.Successes(tx) }); got > 1 {
-		t.Errorf("Successes: %v allocs per call, want ≤ 1 (the result slice)", got)
-	}
-}
-
 // TestPowerControlResolverZeroAllocs pins the power-control resolver:
 // feasibility solving (gain system build, fixed-point iteration,
 // shedding) runs entirely on recycled scratch.
@@ -94,7 +81,7 @@ func TestPowerControlResolverZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := []int{0, 4, 8, 12, 16, 20, 24, 28}
-	resolve := m.NewResolver()
+	resolve, _ := m.NewResolver(0)
 	resolve(tx) // warm the reusable buffers
 	if got := testing.AllocsPerRun(200, func() { resolve(tx) }); got != 0 {
 		t.Errorf("power-control resolver: %v allocs per slot, want 0", got)

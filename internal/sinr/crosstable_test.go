@@ -11,7 +11,7 @@ import (
 // TestFixedPowerGainTableMatchesFormula pins the tentpole bit-identity
 // guarantee at its root: every gain table entry equals the expression
 // the pre-table hot loop evaluated inline — p(ℓ')/d(s', r)^α — bit for
-// bit. Everything downstream (Successes, the resolver, the weight
+// bit. Everything downstream (the resolvers, the weight
 // matrices) sums these same values in the same order, so equality here
 // is what makes the end-to-end results byte-identical.
 func TestFixedPowerGainTableMatchesFormula(t *testing.T) {
@@ -84,10 +84,10 @@ func TestFixedPowerWeightsMatchAffectance(t *testing.T) {
 	}
 }
 
-// referenceFixedSuccesses is the pre-table Successes implementation,
+// referenceFixedVerdicts is the pre-table slot resolution,
 // kept verbatim (map bookkeeping and all) as the oracle for the
 // table-driven fast paths.
-func referenceFixedSuccesses(m *FixedPower, tx []int) []bool {
+func referenceFixedVerdicts(m *FixedPower, tx []int) []bool {
 	g, prm := m.Graph(), m.Params()
 	out := make([]bool, len(tx))
 	if len(tx) == 0 {
@@ -130,9 +130,10 @@ func referenceFixedSuccesses(m *FixedPower, tx []int) []bool {
 	return out
 }
 
-// TestFixedPowerSuccessesMatchesReference drives random slots through
-// Successes, the resolver, and the pre-table reference, demanding
-// identical outcomes — including duplicate links and co-located nodes.
+// TestFixedPowerSuccessesMatchesReference drives random slots through a
+// fresh resolver per slot, one reused resolver, and the pre-table
+// reference, demanding identical outcomes — including duplicate links
+// and co-located nodes.
 func TestFixedPowerSuccessesMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := netgraph.RandomPairs(rng, 32, 40, 1, 4)
@@ -146,19 +147,20 @@ func TestFixedPowerSuccessesMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolve := m.NewResolver()
+	resolve, _ := m.NewResolver(0)
 	for trial := 0; trial < 300; trial++ {
 		k := 1 + rng.Intn(20)
 		tx := make([]int, k)
 		for i := range tx {
 			tx[i] = rng.Intn(g.NumLinks())
 		}
-		want := referenceFixedSuccesses(m, tx)
-		got := m.Successes(tx)
+		want := referenceFixedVerdicts(m, tx)
+		fresh, _ := m.NewResolver(1)
+		got := fresh(tx)
 		res := resolve(tx)
 		for i := range tx {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d: Successes[%d] = %v, reference %v (tx %v)", trial, i, got[i], want[i], tx)
+				t.Fatalf("trial %d: fresh resolver[%d] = %v, reference %v (tx %v)", trial, i, got[i], want[i], tx)
 			}
 			if res[i] != want[i] {
 				t.Fatalf("trial %d: resolver[%d] = %v, reference %v (tx %v)", trial, i, res[i], want[i], tx)

@@ -30,8 +30,8 @@ const (
 )
 
 // FixedPower is the SINR model with a fixed transmission power per link
-// (Section 6.1). Its Successes method applies the exact physical SINR
-// test; its Weight method exposes the chosen analysis matrix.
+// (Section 6.1). Its resolvers apply the exact physical SINR test; its
+// Weight method exposes the chosen analysis matrix.
 type FixedPower struct {
 	g      *netgraph.Graph
 	prm    Params
@@ -77,11 +77,6 @@ type FixedPower struct {
 	w           [][]float64
 	rows        *interference.Sparse
 	name        string
-
-	// scratch pools fpScratch values for the Successes slow path. The
-	// model may be shared across replication goroutines, so the scratch
-	// cannot live on the struct directly.
-	scratch sync.Pool
 
 	// Cumulative resolver accounting (observability only — never read
 	// by the resolution itself). Shared across the model's resolvers,
@@ -129,7 +124,7 @@ type fpScratch struct {
 
 	// This resolver's grid accounting (prepareGrid) and its re-walked
 	// verdicts (indexedVerdict; atomic, since the slot's workers share
-	// the scratch), read through NewStatsResolver's stats function.
+	// the scratch), read through NewResolver's stats function.
 	rebuilds, deltas uint64
 	rewalks          atomic.Uint64
 }
@@ -137,10 +132,7 @@ type fpScratch struct {
 var (
 	_ interference.Model                = (*FixedPower)(nil)
 	_ interference.RowsProvider         = (*FixedPower)(nil)
-	_ interference.SlotResolver         = (*FixedPower)(nil)
-	_ interference.ParallelResolver     = (*FixedPower)(nil)
 	_ interference.ResolveStatsProvider = (*FixedPower)(nil)
-	_ interference.StatsResolver        = (*FixedPower)(nil)
 	_ par.Runner                        = (*fpScratch)(nil)
 )
 
@@ -219,13 +211,6 @@ func NewFixedPowerOpts(g *netgraph.Graph, prm Params, powers []float64, kind Wei
 		m.ensureWeights()
 	}
 	m.name = fmt.Sprintf("sinr-fixed(%s)", kindName(kind))
-	m.scratch.New = func() any {
-		return &fpScratch{
-			rs:      interference.NewResolverScratch(n),
-			m:       m,
-			workers: opt.workers(n),
-		}
-	}
 	return m, nil
 }
 
@@ -393,36 +378,14 @@ func (m *FixedPower) Power(e int) float64 { return m.powers[e] }
 // LinkLen returns the length of link e.
 func (m *FixedPower) LinkLen(e int) float64 { return m.lens[e] }
 
-// Successes implements interference.Model using the exact SINR test: a
-// transmission on ℓ succeeds when its link carries a single packet and
-//
-//	p(ℓ)/d(ℓ)^α ≥ β·(Σ_{ℓ'∈S, ℓ'≠ℓ} p(ℓ')/d(s', r)^α + ν).
-//
-// The interference sum reads the precomputed gain table (or, under the
-// indexed backing, the spatial grid); counting scratch comes from a
-// pool, so the only allocation is the returned slice. Hot loops should
-// use NewResolver, which reuses that too.
-func (m *FixedPower) Successes(tx []int) []bool {
-	out := make([]bool, len(tx))
-	if len(tx) == 0 {
-		return out
-	}
-	sc := m.scratch.Get().(*fpScratch)
-	sc.rs.Count(tx)
-	m.dispatchSuccesses(sc, tx, out)
-	sc.rs.End(tx)
-	m.scratch.Put(sc)
-	return out
-}
-
-// dispatchSuccesses routes a counted slot to the backing's fill path,
+// resolveSlot routes a counted slot to the backing's fill path,
 // fanning the per-link loop across the resolver's workers when the slot
 // is large enough (see runRanges).
-func (m *FixedPower) dispatchSuccesses(sc *fpScratch, tx []int, out []bool) {
+func (m *FixedPower) resolveSlot(sc *fpScratch, tx []int, out []bool) {
 	sort.Ints(sc.rs.Uniq)
 	sc.tx, sc.out = tx, out
 	if m.opts.Backing == BackIndexed {
-		m.fillSuccessesIndexed(sc)
+		m.resolveIndexed(sc)
 	} else {
 		sc.mode = fpModeTable
 		m.runRanges(sc)
@@ -478,9 +441,9 @@ func (m *FixedPower) fillRange(sc *fpScratch, slot, lo, hi int) {
 
 // fillTableRange resolves tx[lo:hi] of the counted slot against the
 // gain table. Distinct links are summed in ascending order — the
-// historical Successes order — so the floating-point interference sums,
-// and therefore the outcomes, are bit-identical across the Successes
-// and NewResolver paths, across dense and CSR table backings, and
+// historical order — so the floating-point interference sums, and
+// therefore the outcomes, are bit-identical across dense and CSR table
+// backings, and
 // across worker counts. A co-located interferer contributes a +Inf
 // gain; adding it yields the same +Inf sum the pre-table code produced
 // by short-circuiting (all terms are non-negative, so no NaN can
@@ -521,7 +484,7 @@ func (m *FixedPower) fillTableRange(sc *fpScratch, lo, hi int) {
 	}
 }
 
-// fillSuccessesIndexed resolves one counted slot through the spatial
+// resolveIndexed resolves one counted slot through the spatial
 // index. At FarFloor = 0 the interference sum visits every distinct
 // transmitting link in ascending order with the exact table-build
 // formula — bit-identical to the table paths. At FarFloor = ε > 0 each
@@ -531,7 +494,7 @@ func (m *FixedPower) fillTableRange(sc *fpScratch, lo, hi int) {
 // The grid is prepared serially — incrementally when the previous
 // slot's geometry and most of its transmitter set carry over — and is
 // immutable during the fanned-out per-link queries.
-func (m *FixedPower) fillSuccessesIndexed(sc *fpScratch) {
+func (m *FixedPower) resolveIndexed(sc *fpScratch) {
 	if m.opts.FarFloor == 0 {
 		sc.mode = fpModeIndexedExact
 		m.runRanges(sc)
@@ -807,50 +770,38 @@ func certainFarBound(alpha, mass, dist float64) float64 {
 	return mass / den
 }
 
-// NewResolver implements interference.SlotResolver with the same exact
-// SINR test as Successes but every buffer reused across slots:
-// steady-state resolution performs no allocations and (on the table
-// backings) no math.Pow calls — each interference term is one table
-// read. The indexed backing re-buckets the transmitting senders into its
-// reusable grid each slot and computes the interference terms on the
-// fly: by a few multiplications when α is whole (geom.PowInt, with
-// math.Pow's bits), by math.Pow otherwise, and at odd α each far-cell
-// power by the certified d²^((α−1)/2)·√d² (indexedVerdict). Large slots are sharded across the intra-slot worker pool per
-// Options.Parallelism (default GOMAXPROCS); results are bit-identical
-// at every worker count.
-func (m *FixedPower) NewResolver() func(tx []int) []bool {
-	return m.NewResolverN(m.opts.workers(m.NumLinks()))
-}
-
-// NewResolverN implements interference.ParallelResolver: a resolver
-// pinned to an explicit intra-slot worker count (1 = strictly serial).
-func (m *FixedPower) NewResolverN(workers int) func(tx []int) []bool {
-	resolve, _ := m.newResolver(max(workers, 1))
-	return resolve
-}
-
-// NewStatsResolver implements interference.StatsResolver (workers < 1 =
-// the model's default worker count).
-func (m *FixedPower) NewStatsResolver(workers int) (func(tx []int) []bool, func() interference.ResolveStats) {
+// NewResolver implements interference.Model with the exact SINR test: a
+// transmission on ℓ succeeds when its link carries a single packet and
+//
+//	p(ℓ)/d(ℓ)^α ≥ β·(Σ_{ℓ'∈S, ℓ'≠ℓ} p(ℓ')/d(s', r)^α + ν).
+//
+// Every buffer is reused across slots: steady-state resolution performs
+// no allocations and (on the table backings) no math.Pow calls — each
+// interference term is one table read. The indexed backing re-buckets
+// the transmitting senders into its reusable grid each slot and
+// computes the interference terms on the fly: by a few multiplications
+// when α is whole (geom.PowInt, with math.Pow's bits), by math.Pow
+// otherwise, and at odd α each far-cell power by the certified
+// d²^((α−1)/2)·√d² (indexedVerdict). Large slots are sharded across
+// workers intra-slot workers (0 = Options.Parallelism, default
+// GOMAXPROCS); results are bit-identical at every worker count. The
+// stats function reports this resolver's worker count, grid work and
+// re-walks alone.
+func (m *FixedPower) NewResolver(workers int) (func(tx []int) []bool, func() interference.ResolveStats) {
 	if workers < 1 {
 		workers = m.opts.workers(m.NumLinks())
 	}
-	resolve, sc := m.newResolver(workers)
-	return resolve, func() interference.ResolveStats {
-		return interference.ResolveStats{Workers: sc.workers, GridRebuilds: sc.rebuilds, GridDeltaUpdates: sc.deltas, Rewalks: sc.rewalks.Load()}
-	}
-}
-
-// newResolver returns a resolver on its own scratch, pinned to workers.
-func (m *FixedPower) newResolver(workers int) (func(tx []int) []bool, *fpScratch) {
-	sc := m.scratch.New().(*fpScratch)
-	sc.workers = workers
-	return func(tx []int) []bool {
+	sc := &fpScratch{rs: interference.NewResolverScratch(m.NumLinks()), m: m, workers: workers}
+	resolve := func(tx []int) []bool {
 		out := sc.rs.Begin(tx)
-		m.dispatchSuccesses(sc, tx, out)
+		m.resolveSlot(sc, tx, out)
 		sc.rs.End(tx)
 		return out
-	}, sc
+	}
+	stats := func() interference.ResolveStats {
+		return interference.ResolveStats{Workers: sc.workers, GridRebuilds: sc.rebuilds, GridDeltaUpdates: sc.deltas, Rewalks: sc.rewalks.Load()}
+	}
+	return resolve, stats
 }
 
 // ResolveStats implements interference.ResolveStatsProvider.

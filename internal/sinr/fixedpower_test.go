@@ -90,6 +90,7 @@ func TestSINRSuccessMatchesAffectanceSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	resolve, _ := m.NewResolver(1)
 	for trial := 0; trial < 100; trial++ {
 		k := 1 + rng.Intn(6)
 		seen := make(map[int]bool)
@@ -101,7 +102,7 @@ func TestSINRSuccessMatchesAffectanceSum(t *testing.T) {
 				set = append(set, e)
 			}
 		}
-		succ := m.Successes(set)
+		succ := resolve(set)
 		for i, e := range set {
 			sum := 0.0
 			capped := false
@@ -131,7 +132,8 @@ func TestIsolatedLinksAllSucceed(t *testing.T) {
 	g := pairGraph(t, 8, 500, 1)
 	m := linearModel(t, g)
 	tx := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	for i, ok := range m.Successes(tx) {
+	resolve, _ := m.NewResolver(1)
+	for i, ok := range resolve(tx) {
 		if !ok {
 			t.Errorf("isolated link %d failed", i)
 		}
@@ -143,8 +145,9 @@ func TestCrowdedLinksInterfere(t *testing.T) {
 	g := pairGraph(t, 6, 1.5, 1)
 	m := uniformModel(t, g)
 	tx := []int{0, 1, 2, 3, 4, 5}
+	resolve, _ := m.NewResolver(1)
 	all := true
-	for _, ok := range m.Successes(tx) {
+	for _, ok := range resolve(tx) {
 		all = all && ok
 	}
 	if all {
@@ -152,7 +155,7 @@ func TestCrowdedLinksInterfere(t *testing.T) {
 	}
 	// But each alone succeeds.
 	for e := 0; e < 6; e++ {
-		if s := m.Successes([]int{e}); !s[0] {
+		if s := resolve([]int{e}); !s[0] {
 			t.Errorf("lone link %d failed", e)
 		}
 	}
@@ -161,7 +164,8 @@ func TestCrowdedLinksInterfere(t *testing.T) {
 func TestDuplicateAttemptsFail(t *testing.T) {
 	g := pairGraph(t, 2, 100, 1)
 	m := linearModel(t, g)
-	s := m.Successes([]int{0, 0, 1})
+	resolve, _ := m.NewResolver(1)
+	s := resolve([]int{0, 0, 1})
 	if s[0] || s[1] {
 		t.Error("duplicate attempts on a link succeeded")
 	}

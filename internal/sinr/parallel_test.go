@@ -73,13 +73,13 @@ func TestFixedPowerParallelBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			slots := randomTxSlots(rand.New(rand.NewSource(212)), g.NumLinks(), 60)
-			serial := m.NewResolverN(1)
+			serial, _ := m.NewResolver(1)
 			want := make([][]bool, len(slots))
 			for i, tx := range slots {
 				want[i] = append([]bool(nil), serial(tx)...)
 			}
 			for _, workers := range resolverWorkerCounts() {
-				resolve := m.NewResolverN(workers)
+				resolve, _ := m.NewResolver(workers)
 				for i, tx := range slots {
 					got := resolve(tx)
 					for j := range got {
@@ -106,13 +106,13 @@ func TestPowerControlParallelBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	slots := randomTxSlots(rand.New(rand.NewSource(214)), g.NumLinks(), 40)
-	serial := m.NewResolverN(1)
+	serial, _ := m.NewResolver(1)
 	want := make([][]bool, len(slots))
 	for i, tx := range slots {
 		want[i] = append([]bool(nil), serial(tx)...)
 	}
 	for _, workers := range resolverWorkerCounts() {
-		resolve := m.NewResolverN(workers)
+		resolve, _ := m.NewResolver(workers)
 		for i, tx := range slots {
 			got := resolve(tx)
 			for j := range got {
@@ -154,7 +154,7 @@ func TestGridDeltaPathMatchesRebuild(t *testing.T) {
 	for _, e := range rng.Perm(n)[:128] {
 		members[e] = true
 	}
-	resolve := m.NewResolverN(1)
+	resolve, _ := m.NewResolver(1)
 	for slot := 0; slot < 50; slot++ {
 		for i := 0; i < 6; i++ {
 			e := rng.Intn(n)
@@ -167,7 +167,8 @@ func TestGridDeltaPathMatchesRebuild(t *testing.T) {
 			}
 		}
 		got := resolve(tx)
-		want := fresh.NewResolverN(1)(tx) // fresh resolver: rebuilt grid every slot
+		freshResolve, _ := fresh.NewResolver(1) // fresh resolver: rebuilt grid every slot
+		want := freshResolve(tx)
 		for j := range got {
 			if got[j] != want[j] {
 				t.Fatalf("slot %d link %d: delta path %v, rebuild %v", slot, tx[j], got[j], want[j])
@@ -183,11 +184,11 @@ func TestGridDeltaPathMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestStatsResolverCountsItsOwnSlots pins the per-run grid accounting:
+// TestResolverCountsItsOwnSlots pins the per-run grid accounting:
 // two resolvers interleaving slots on one model each report exactly the
 // grid work a lone resolver on a fresh model does for their slots, and
 // the model's cumulative totals are their sum.
-func TestStatsResolverCountsItsOwnSlots(t *testing.T) {
+func TestResolverCountsItsOwnSlots(t *testing.T) {
 	prm := DefaultParams()
 	rng := rand.New(rand.NewSource(217))
 	g := netgraph.RandomPairs(rng, 256, 200, 1, 4)
@@ -230,7 +231,7 @@ func TestStatsResolverCountsItsOwnSlots(t *testing.T) {
 	var resolve [2]func([]int) []bool
 	var stats [2]func() interference.ResolveStats
 	for i := range resolve {
-		resolve[i], stats[i] = shared.NewStatsResolver(1)
+		resolve[i], stats[i] = shared.NewResolver(1)
 	}
 	for slot := range streams[0] {
 		for i := range resolve {
@@ -239,7 +240,7 @@ func TestStatsResolverCountsItsOwnSlots(t *testing.T) {
 	}
 	var sum interference.ResolveStats
 	for i, stream := range streams {
-		solo, soloStats := build().NewStatsResolver(1)
+		solo, soloStats := build().NewResolver(1)
 		for _, tx := range stream {
 			solo(tx)
 		}
@@ -284,7 +285,8 @@ func TestParallelPoolStress(t *testing.T) {
 	slots := randomTxSlots(rand.New(rand.NewSource(217)), g.NumLinks(), 20)
 	wantFP := make([][]bool, len(slots))
 	wantPC := make([][]bool, len(slots))
-	fpSerial, pcSerial := m.NewResolverN(1), pc.NewResolverN(1)
+	fpSerial, _ := m.NewResolver(1)
+	pcSerial, _ := pc.NewResolver(1)
 	for i, tx := range slots {
 		wantFP[i] = append([]bool(nil), fpSerial(tx)...)
 		wantPC[i] = append([]bool(nil), pcSerial(tx)...)
@@ -298,8 +300,8 @@ func TestParallelPoolStress(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			// Mixed worker counts so sends race for parked workers.
-			fp := m.NewResolverN(2 + id%3)
-			pcr := pc.NewResolverN(2 + (id+1)%3)
+			fp, _ := m.NewResolver(2 + id%3)
+			pcr, _ := pc.NewResolver(2 + (id+1)%3)
 			for round := 0; round < 8; round++ {
 				for i, tx := range slots {
 					for j, ok := range fp(tx) {

@@ -59,19 +59,16 @@ type PowerControl struct {
 	maxIter  int
 	powerCap float64
 
-	// scratch pools pcScratch values so Successes and SolvePowers stay
+	// scratch pools pcScratch values so SolvePowers stays
 	// allocation-free in steady state even on a model shared across
 	// goroutines.
 	scratch sync.Pool
 }
 
 var (
-	_ interference.Model                = (*PowerControl)(nil)
-	_ interference.RowsProvider         = (*PowerControl)(nil)
-	_ interference.SlotResolver         = (*PowerControl)(nil)
-	_ interference.ParallelResolver     = (*PowerControl)(nil)
-	_ interference.ResolveStatsProvider = (*PowerControl)(nil)
-	_ par.Runner                        = (*pcScratch)(nil)
+	_ interference.Model        = (*PowerControl)(nil)
+	_ interference.RowsProvider = (*PowerControl)(nil)
+	_ par.Runner                = (*pcScratch)(nil)
 )
 
 // pcScratch phase modes: which row body RunChunks executes.
@@ -522,10 +519,10 @@ func (m *PowerControl) SolvePowers(set []int) ([]float64, bool) {
 	return out, true
 }
 
-// fillSuccesses resolves one counted slot into out: build the ascending
+// resolveSlot resolves one counted slot into out: build the ascending
 // set of singly-requested links, shed the most-interfered link until the
 // residual set admits a joint power vector, and mark the survivors.
-func (m *PowerControl) fillSuccesses(sc *pcScratch, tx []int, out []bool) {
+func (m *PowerControl) resolveSlot(sc *pcScratch, tx []int, out []bool) {
 	sort.Ints(sc.rs.Uniq)
 	set := sc.set[:0]
 	for _, e := range sc.rs.Uniq {
@@ -555,54 +552,28 @@ func (m *PowerControl) fillSuccesses(sc *pcScratch, tx []int, out []bool) {
 	}
 }
 
-// Successes implements interference.Model. Duplicate attempts on a link
-// fail; among the remaining links the model solves for a joint power
-// vector, shedding the most-interfered link until the residual set is
-// feasible. Shed links fail, the rest succeed.
-func (m *PowerControl) Successes(tx []int) []bool {
-	out := make([]bool, len(tx))
-	if len(tx) == 0 {
-		return out
-	}
-	sc := m.scratch.Get().(*pcScratch)
-	sc.rs.Count(tx)
-	m.fillSuccesses(sc, tx, out)
-	sc.rs.End(tx)
-	m.scratch.Put(sc)
-	return out
-}
-
-// NewResolver implements interference.SlotResolver: identical slot
-// semantics to Successes — the feasibility computation is deterministic
-// — with every buffer reused across slots, so steady-state resolution
-// performs no allocations. Large solver systems shard across the
-// intra-slot worker pool per Options.Parallelism (default GOMAXPROCS);
-// results are bit-identical at every worker count.
-func (m *PowerControl) NewResolver() func(tx []int) []bool {
-	return m.NewResolverN(m.opts.workers(m.NumLinks()))
-}
-
-// NewResolverN implements interference.ParallelResolver: a resolver
-// pinned to an explicit intra-slot worker count (1 = strictly serial).
-func (m *PowerControl) NewResolverN(workers int) func(tx []int) []bool {
+// NewResolver implements interference.Model. Duplicate attempts on a
+// link fail; among the remaining links the model solves for a joint
+// power vector, shedding the most-interfered link until the residual
+// set is feasible. Shed links fail, the rest succeed. Every buffer is
+// reused across slots, so steady-state resolution performs no
+// allocations. Large solver systems shard across workers intra-slot
+// workers (0 = Options.Parallelism, default GOMAXPROCS); results are
+// bit-identical at every worker count. The model has no spatial slot
+// grid, so the stats function reports only the worker count.
+func (m *PowerControl) NewResolver(workers int) (func(tx []int) []bool, func() interference.ResolveStats) {
 	sc := m.scratch.New().(*pcScratch)
 	if workers < 1 {
-		workers = 1
+		workers = m.opts.workers(m.NumLinks())
 	}
 	sc.workers = workers
-	return func(tx []int) []bool {
+	resolve := func(tx []int) []bool {
 		out := sc.rs.Begin(tx)
-		m.fillSuccesses(sc, tx, out)
+		m.resolveSlot(sc, tx, out)
 		sc.rs.End(tx)
 		return out
 	}
-}
-
-// ResolveStats implements interference.ResolveStatsProvider. The
-// power-control model has no spatial slot grid, so only the worker
-// count is reported.
-func (m *PowerControl) ResolveStats() interference.ResolveStats {
-	return interference.ResolveStats{Workers: m.opts.workers(m.NumLinks())}
+	return resolve, func() interference.ResolveStats { return interference.ResolveStats{Workers: workers} }
 }
 
 // shedWorst removes the link that suffers the largest summed weight from

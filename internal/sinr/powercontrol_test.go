@@ -108,7 +108,8 @@ func TestPowerControlSuccessesShedsNotAll(t *testing.T) {
 	g := netgraph.RandomPairs(rng, 10, 30, 1, 4) // dense: some shedding likely
 	m := pcModel(t, g)
 	tx := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	succ := m.Successes(tx)
+	resolve, _ := m.NewResolver(1)
+	succ := resolve(tx)
 	any := false
 	for _, ok := range succ {
 		any = any || ok
@@ -117,7 +118,7 @@ func TestPowerControlSuccessesShedsNotAll(t *testing.T) {
 		t.Error("power control served no link at all in a dense slot")
 	}
 	// Duplicates still fail.
-	s := m.Successes([]int{0, 0})
+	s := resolve([]int{0, 0})
 	if s[0] || s[1] {
 		t.Error("duplicate attempts succeeded")
 	}
@@ -128,7 +129,8 @@ func TestPowerControlSuccessesRespectSINR(t *testing.T) {
 	g := netgraph.RandomPairs(rng, 8, 200, 1, 2) // sparse: most slots feasible
 	m := pcModel(t, g)
 	tx := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	succ := m.Successes(tx)
+	resolve, _ := m.NewResolver(1)
+	succ := resolve(tx)
 	served := 0
 	for _, ok := range succ {
 		if ok {

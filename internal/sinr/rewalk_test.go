@@ -38,7 +38,7 @@ func TestIndexedRewalksAtThreshold(t *testing.T) {
 					before := sc.rewalks.Load()
 					checkTies(t, m, sc, 0)
 					got := sc.rewalks.Load() - before
-					endGridSlot(m, sc, tx)
+					endGridSlot(sc, tx)
 					if st := m.ResolveStats(); st.Rewalks != got {
 						t.Fatalf("model counts %d re-walks, its one scratch %d", st.Rewalks, got)
 					}

@@ -169,7 +169,8 @@ func TestMaxNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := m.Successes([]int{0}); !s[0] {
+	resolve, _ := m.NewResolver(1)
+	if s := resolve([]int{0}); !s[0] {
 		t.Error("lone transmission infeasible below MaxNoise")
 	}
 	prm.Noise = nu * 1.01
@@ -177,7 +178,8 @@ func TestMaxNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := m2.Successes([]int{0}); s[0] {
+	resolve2, _ := m2.NewResolver(1)
+	if s := resolve2([]int{0}); s[0] {
 		t.Error("lone transmission feasible above MaxNoise")
 	}
 }
@@ -215,7 +217,8 @@ func TestFixedPowerOnGeneralMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Links are metric-far apart: all three transmit at once.
-	s := m.Successes([]int{0, 1, 2})
+	resolve, _ := m.NewResolver(1)
+	s := resolve([]int{0, 1, 2})
 	for i, ok := range s {
 		if !ok {
 			t.Errorf("metric-far link %d failed", i)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dynsched/internal/geom"
+	"dynsched/internal/interference"
 	"dynsched/internal/netgraph"
 )
 
@@ -15,39 +16,35 @@ func indexedOpts(eps float64) Options {
 	return Options{Backing: BackIndexed, FarFloor: eps}
 }
 
-// randomSlots drives count random slots (with duplicates allowed) through
-// both resolvers and demands identical verdicts.
-func requireSameSlots(t *testing.T, rng *rand.Rand, a, b slotModel, n, count int) {
+// requireSameSlots drives count random slots (with duplicates allowed)
+// through a reused resolver of each model and a fresh one of b per
+// slot, and demands identical verdicts.
+func requireSameSlots(t *testing.T, rng *rand.Rand, a, b interference.Model, n, count int) {
 	t.Helper()
-	resA, resB := a.NewResolver(), b.NewResolver()
+	resA, _ := a.NewResolver(0)
+	resB, _ := b.NewResolver(0)
 	for trial := 0; trial < count; trial++ {
 		k := 1 + rng.Intn(2*n)
 		tx := make([]int, k)
 		for i := range tx {
 			tx[i] = rng.Intn(n)
 		}
-		wantS, gotS := a.Successes(tx), b.Successes(tx)
-		wantR, gotR := resA(tx), resB(tx)
+		freshB, _ := b.NewResolver(1)
+		want, gotR, gotF := resA(tx), resB(tx), freshB(tx)
 		for i := range tx {
-			if wantS[i] != gotS[i] {
-				t.Fatalf("trial %d: Successes[%d] = %v, want %v (tx %v)", trial, i, gotS[i], wantS[i], tx)
+			if want[i] != gotR[i] {
+				t.Fatalf("trial %d: resolver[%d] = %v, want %v (tx %v)", trial, i, gotR[i], want[i], tx)
 			}
-			if wantR[i] != gotR[i] {
-				t.Fatalf("trial %d: resolver[%d] = %v, want %v (tx %v)", trial, i, gotR[i], wantR[i], tx)
+			if want[i] != gotF[i] {
+				t.Fatalf("trial %d: fresh resolver[%d] = %v, want %v (tx %v)", trial, i, gotF[i], want[i], tx)
 			}
 		}
 	}
 }
 
-// slotModel is the slice of the model API the comparison tests need.
-type slotModel interface {
-	Successes(tx []int) []bool
-	NewResolver() func(tx []int) []bool
-}
-
 // TestFixedPowerIndexedZeroFloorBitIdentity: at ε = 0 the indexed backing
-// must be bit-identical to the table backings — same Successes, same
-// resolver verdicts, same weight matrix, entry for entry.
+// must be bit-identical to the table backings — same resolver verdicts,
+// same weight matrix, entry for entry.
 func TestFixedPowerIndexedZeroFloorBitIdentity(t *testing.T) {
 	prm := DefaultParams()
 	prm.Noise = 1e-4
@@ -193,20 +190,20 @@ func oracleVerdict(m *FixedPower, sc *fpScratch, e int) bool {
 	return m.signals[e] >= m.prm.Beta*(near+tail)
 }
 
-// gridSlot sets up a pooled scratch for tx exactly as the FarFloor > 0
-// resolver does (counting, selection, rounding allowances, grid), so
-// tests can query one receiver at a time. Release it with endGridSlot.
+// gridSlot sets up a fresh resolver scratch for tx exactly as the
+// FarFloor > 0 resolver does (counting, selection, rounding allowances,
+// grid), so tests can query one receiver at a time. Release it with
+// endGridSlot.
 func gridSlot(m *FixedPower, tx []int) *fpScratch {
-	sc := m.scratch.Get().(*fpScratch)
-	sc.rs.Count(tx)
+	sc := &fpScratch{rs: interference.NewResolverScratch(m.NumLinks()), m: m, workers: 1}
+	sc.rs.Begin(tx)
 	sort.Ints(sc.rs.Uniq)
 	m.beginGridSlot(sc)
 	return sc
 }
 
-func endGridSlot(m *FixedPower, sc *fpScratch, tx []int) {
+func endGridSlot(sc *fpScratch, tx []int) {
 	sc.rs.End(tx)
-	m.scratch.Put(sc)
 }
 
 // TestFixedPowerFarFloorSoundness: at ε > 0 the indexed estimate
@@ -227,11 +224,13 @@ func TestFixedPowerFarFloorSoundness(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.NumLinks()
+	resolveExact, _ := exact.NewResolver(1)
 	for _, eps := range []float64{1e-6, 1e-3, 0.05} {
 		m, err := NewFixedPowerOpts(g, prm, powers, WeightMonotone, indexedOpts(eps))
 		if err != nil {
 			t.Fatal(err)
 		}
+		resolve, _ := m.NewResolver(1)
 		for trial := 0; trial < 60; trial++ {
 			k := 2 + rng.Intn(n)
 			tx := rng.Perm(n)[:k]
@@ -253,9 +252,9 @@ func TestFixedPowerFarFloorSoundness(t *testing.T) {
 					t.Fatalf("eps=%g trial %d link %d: near part %v exceeds true interference %v", eps, trial, e, near, truth)
 				}
 			}
-			endGridSlot(m, sc, tx)
+			endGridSlot(sc, tx)
 			// End to end: indexed success ⊆ exact success.
-			got, want := m.Successes(tx), exact.Successes(tx)
+			got, want := resolve(tx), resolveExact(tx)
 			for i := range tx {
 				if got[i] && !want[i] {
 					t.Fatalf("eps=%g trial %d: link %d reported success but fails the exact SINR test", eps, trial, tx[i])
@@ -353,7 +352,7 @@ func TestIndexedVerdictMatchesFullWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resolve := m.NewResolverN(1)
+		resolve, _ := m.NewResolver(1)
 		for trial := 0; trial < 12; trial++ {
 			tx := make([]int, 1+rng.Intn(2*n))
 			for i := range tx {
@@ -374,7 +373,7 @@ func TestIndexedVerdictMatchesFullWalk(t *testing.T) {
 					ties += checkTies(t, m, sc, e)
 				}
 			}
-			endGridSlot(m, sc, tx)
+			endGridSlot(sc, tx)
 		}
 	}
 	// The tight case, at every threshold probe: stacks of 1–8 senders
@@ -403,7 +402,7 @@ func TestIndexedVerdictMatchesFullWalk(t *testing.T) {
 						}
 						sc := gridSlot(m, tx)
 						ties += checkTies(t, m, sc, 0)
-						endGridSlot(m, sc, tx)
+						endGridSlot(sc, tx)
 					}
 				}
 			}

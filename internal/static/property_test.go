@@ -31,6 +31,7 @@ func checkedRun(t *testing.T, rng *rand.Rand, m interference.Model, alg Algorith
 	exec := alg.NewExecution(m, reqs)
 	served := make([]bool, len(reqs))
 	res := Result{Served: make([]bool, len(reqs))}
+	resolve, _ := m.NewResolver(1)
 	for res.Slots < maxSlots && !exec.Done() {
 		attempted := exec.Attempts(rng)
 		res.Slots++
@@ -54,7 +55,7 @@ func checkedRun(t *testing.T, rng *rand.Rand, m interference.Model, alg Algorith
 		for i, idx := range attempted {
 			tx[i] = reqs[idx].Link
 		}
-		success := m.Successes(tx)
+		success := resolve(tx)
 		before := exec.Remaining()
 		exec.Observe(attempted, success)
 		newly := 0

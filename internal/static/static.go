@@ -125,7 +125,7 @@ func Run(rng *rand.Rand, m interference.Model, alg Algorithm, reqs []Request, ma
 	}
 	exec := alg.NewExecution(m, reqs)
 	res := Result{Served: make([]bool, len(reqs))}
-	resolve := interference.ResolveFunc(m)
+	resolve, _ := m.NewResolver(0)
 	var tx []int
 	for res.Slots < maxSlots && !exec.Done() {
 		attempted := exec.Attempts(rng)

@@ -16,9 +16,9 @@ import (
 // fresh Scenario.Compile's.
 //
 // The shared models are immutable or keep their lazy state (the
-// analysis matrix, resolver scratch) behind sync.Once and sync.Pool, so
-// runs on one model may overlap; each run's resolver keeps its own
-// accounting (interference.StatsResolver).
+// analysis matrix) behind sync.Once, and each run builds its own
+// resolver (interference.Model.NewResolver) with its own scratch and
+// accounting, so runs on one model may overlap.
 //
 // The cache holds one network. That serves the traffic it is for — a
 // stream of runs on one fixed network. Traffic that changes network per

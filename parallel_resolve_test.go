@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"runtime"
 	"testing"
+
+	"dynsched/internal/metrics"
+	"dynsched/internal/sim"
 )
 
 // TestScenariosBitIdenticalAcrossResolveWorkers runs every registered
@@ -61,5 +64,40 @@ func TestScenariosBitIdenticalAcrossResolveWorkers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestResolveWorkersGaugeReportsResolverCount pins that the
+// dynsched_sim_resolve_workers gauge reads the worker count the run's
+// resolver really uses: a model that never shards reports 1 whatever
+// ResolveParallelism asks, while the SINR resolver reports the count it
+// was given.
+func TestResolveWorkersGaugeReportsResolverCount(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		parallel, gauged int
+	}{
+		{"line-stochastic", 4, 1},
+		{"lossy-line", 4, 1},
+		{"sinr-stochastic", 2, 2},
+	} {
+		s, ok := ScenarioByName(tc.name)
+		if !ok {
+			t.Fatalf("%s not registered", tc.name)
+		}
+		s.Sim.Slots = 200
+		s.Sim.ResolveParallelism = tc.parallel
+		c, err := s.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		em := sim.NewEngineMetrics(metrics.NewRegistry())
+		c.Observers = append(c.Observers, em.NewObserver(0))
+		if _, err := c.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := em.ResolveWorkers.Value(); got != float64(tc.gauged) {
+			t.Errorf("%s at ResolveParallelism %d: resolve-workers gauge %v, want %d", tc.name, tc.parallel, got, tc.gauged)
+		}
 	}
 }

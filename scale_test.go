@@ -123,7 +123,7 @@ func TestScaleSmoke100k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolve := m.NewResolver()
+	resolve, _ := m.NewResolver(0)
 	succ := 0
 	for s := 0; s < slots; s++ {
 		tx := rng.Perm(n)[:k]

@@ -71,16 +71,18 @@ func TestScenariosIndexedBitIdentity(t *testing.T) {
 			}
 			n := mFlat.NumLinks()
 			rng := rand.New(rand.NewSource(int64(n) + 7))
+			resolveFlat, _ := mFlat.NewResolver(0)
+			resolveIdx, _ := mIdx.NewResolver(0)
 			for trial := 0; trial < 150; trial++ {
 				k := 1 + rng.Intn(2*n)
 				tx := make([]int, k)
 				for i := range tx {
 					tx[i] = rng.Intn(n)
 				}
-				want, got := mFlat.Successes(tx), mIdx.Successes(tx)
+				want, got := resolveFlat(tx), resolveIdx(tx)
 				for i := range tx {
 					if want[i] != got[i] {
-						t.Fatalf("trial %d: Successes[%d] = %v on indexed, %v on flat (tx %v)", trial, i, got[i], want[i], tx)
+						t.Fatalf("trial %d: verdict[%d] = %v on indexed, %v on flat (tx %v)", trial, i, got[i], want[i], tx)
 					}
 				}
 			}
@@ -121,10 +123,12 @@ func TestScenariosFarFloorSound(t *testing.T) {
 			_, mIdx := compileModel(t, s) // registered backing and ε
 			n := mExact.NumLinks()
 			rng := rand.New(rand.NewSource(int64(n) + 11))
+			resolveExact, _ := mExact.NewResolver(0)
+			resolveIdx, _ := mIdx.NewResolver(0)
 			for trial := 0; trial < 150; trial++ {
 				k := 1 + rng.Intn(n)
 				tx := rng.Perm(n)[:k]
-				want, got := mExact.Successes(tx), mIdx.Successes(tx)
+				want, got := resolveExact(tx), resolveIdx(tx)
 				for i := range tx {
 					if got[i] && !want[i] {
 						t.Fatalf("trial %d: link %d reported success at ε=%v but fails the exact SINR test",
