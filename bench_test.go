@@ -111,19 +111,19 @@ func BenchmarkMeasure64LinksDense(b *testing.B) {
 
 // BenchmarkIncrementalMeasure64 slides a 64-request window one request
 // at a time — the adversary checker's access pattern. Each step is one
-// Remove, one Add, and one Measure read, O(nnz(column)) apiece, versus
+// RemoveN, one AddN, and one Measure read, O(nnz(column)) apiece, versus
 // a full ‖W·R‖∞ recomputation per step for the dense baseline.
 func BenchmarkIncrementalMeasure64(b *testing.B) {
 	m := benchSINRModel(b, 64)
 	im := interference.NewIncremental(m)
 	for e := 0; e < 64; e++ {
-		im.Add(e)
+		im.AddN(e, 1)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := i % 64
-		im.Remove(e)
-		im.Add(e)
+		im.RemoveN(e, 1)
+		im.AddN(e, 1)
 		if im.Measure() <= 0 {
 			b.Fatal("measure vanished")
 		}

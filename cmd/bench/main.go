@@ -7,17 +7,17 @@
 // fleet-scaling benches, which belong in the baseline but not in CI
 // smoke):
 //
-//	go run ./cmd/bench -benchtime 100x -scale -out BENCH_baseline.json
+//	go run ./cmd/bench -benchtime 100x -count 3 -scale -out BENCH_baseline.json
 //
 // CI regression smoke (fails on ns/op > factor× baseline or on
 // allocation-count regressions, which are deterministic):
 //
-//	go run ./cmd/bench -benchtime 100x -compare BENCH_baseline.json
+//	GOMAXPROCS=1 go run ./cmd/bench -benchtime 100x -count 3 -ns-factor 4 -compare BENCH_baseline.json
 //
-// The ns/op threshold is deliberately generous (default 2×): at smoke
-// iteration counts timing is noisy and runners vary, so the guard is
-// against order-of-magnitude regressions; allocation counts are the
-// precise signal.
+// The ns/op threshold is deliberately generous (default 2×, 4× in CI):
+// at smoke iteration counts timing is noisy and runners vary, so the
+// guard is against order-of-magnitude regressions; allocation counts
+// are the precise signal.
 package main
 
 import (
@@ -44,7 +44,8 @@ const microBenches = "^(BenchmarkMeasure64Links|BenchmarkMeasure64LinksDense|" +
 	"BenchmarkDynamicProtocolSlot|BenchmarkDynamicProtocolSlotTraced|" +
 	"BenchmarkPlanSweep64|BenchmarkSlotResolve100k|BenchmarkSlotResolveDelta100k|" +
 	"BenchmarkSlotResolveSpatial16k|BenchmarkStochasticStep16k|" +
-	"BenchmarkJournalAppend|BenchmarkCheckpoint100k)$"
+	"BenchmarkJournalAppend|BenchmarkCheckpoint100k|" +
+	"BenchmarkSpatialUnit16k|BenchmarkCompileIndexed4k)$"
 
 // scaleBenches are the heavy benchmarks included only when -scale is
 // set: a million-link model takes seconds to construct, which is fine

@@ -173,7 +173,7 @@ func TestSISServesNewestFirst(t *testing.T) {
 		t.Fatalf("SIS picked %v after serving the newest, want ID 1", tx)
 	}
 	proto.Feedback(7, tx, []bool{true})
-	if proto.QueueLen() != 0 {
-		t.Fatalf("QueueLen = %d after draining", proto.QueueLen())
+	if tx = proto.Slot(8, nil); len(tx) != 0 {
+		t.Fatalf("SIS transmits %v after draining", tx)
 	}
 }

@@ -17,7 +17,6 @@ import (
 // why the paper's geometry-aware protocol is needed.
 type SIS struct {
 	byLink [][]*sisPkt
-	held   int
 }
 
 type sisPkt struct {
@@ -37,15 +36,11 @@ func NewSIS(numLinks int) *SIS {
 // Name implements sim.Protocol.
 func (*SIS) Name() string { return "shortest-in-system" }
 
-// QueueLen returns the number of packets held.
-func (s *SIS) QueueLen() int { return s.held }
-
 // Inject implements sim.Protocol.
 func (s *SIS) Inject(t int64, pkts []inject.Packet) {
 	for _, ip := range pkts {
 		p := &sisPkt{id: ip.ID, path: ip.Path, injected: ip.Injected}
 		s.byLink[ip.Path[0]] = append(s.byLink[ip.Path[0]], p)
-		s.held++
 	}
 }
 
@@ -90,8 +85,6 @@ func (s *SIS) Feedback(t int64, tx []sim.Transmission, success []bool) {
 			if p.hop < len(p.path) {
 				next := p.path[p.hop]
 				s.byLink[next] = append(s.byLink[next], p)
-			} else {
-				s.held--
 			}
 			break
 		}

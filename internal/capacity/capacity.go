@@ -44,16 +44,11 @@ func MaxFeasibleExact(m interference.Model, maxLinks int) []int {
 	return best
 }
 
-// GreedyFeasible builds a feasible set greedily in the given link
-// order, keeping each link whose addition leaves the whole set feasible.
-func GreedyFeasible(m interference.Model, order []int) []int {
-	resolve, _ := m.NewResolver(0)
-	return greedyFeasible(resolve, order)
-}
-
-// greedyFeasible is GreedyFeasible on a resolver the caller reuses:
-// each candidate is appended, tested in place and popped again when the
-// set stops being feasible.
+// greedyFeasible builds a feasible set greedily in the given link
+// order, keeping each link whose addition leaves the whole set
+// feasible. It runs on a resolver the caller reuses: each candidate is
+// appended, tested in place and popped again when the set stops being
+// feasible.
 func greedyFeasible(resolve func(tx []int) []bool, order []int) []int {
 	var set []int
 	for _, e := range order {
@@ -65,7 +60,7 @@ func greedyFeasible(resolve func(tx []int) []bool, order []int) []int {
 	return set
 }
 
-// RandomizedGreedy runs GreedyFeasible over `rounds` random orders and
+// RandomizedGreedy runs greedyFeasible over `rounds` random orders and
 // returns the best set found — the scalable stand-in for the exact
 // search on larger instances.
 func RandomizedGreedy(rng *rand.Rand, m interference.Model, rounds int) []int {

@@ -67,16 +67,6 @@ func (g *Graph) Conflicts(e, e2 int) bool {
 // Degree returns the number of conflicting neighbours of e.
 func (g *Graph) Degree(e int) int { return len(g.adj[e]) }
 
-// Neighbors returns the conflicting neighbours of e in ascending order.
-func (g *Graph) Neighbors(e int) []int {
-	out := make([]int, 0, len(g.adj[e]))
-	for v := range g.adj[e] {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Independent reports whether the given links are pairwise non-conflicting
 // and duplicate-free.
 func (g *Graph) Independent(set []int) bool {

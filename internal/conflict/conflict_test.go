@@ -31,9 +31,6 @@ func TestGraphBasics(t *testing.T) {
 	if err := g.AddConflict(2, 2); err != nil {
 		t.Errorf("self-conflict add should be a no-op, got %v", err)
 	}
-	if got := g.Neighbors(1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("Neighbors(1) = %v", got)
-	}
 	if g.Degree(1) != 2 || g.Degree(3) != 0 {
 		t.Error("degrees wrong")
 	}
@@ -252,7 +249,10 @@ func TestMeasureBoundsIndependentSets(t *testing.T) {
 				set = append(set, v)
 			}
 		}
-		r := interference.Requests(20, set)
+		r := make([]int, 20)
+		for _, e := range set {
+			r[e]++
+		}
 		meas := interference.Measure(m, r)
 		// Each member contributes 1 to itself; earlier conflicting
 		// members are independent among themselves, so ≤ ρ of them.

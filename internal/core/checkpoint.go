@@ -12,10 +12,6 @@
 // the live list, in failure order), the private RNG's stream position,
 // and the frame counters. CheckpointAligned therefore admits only
 // frame-boundary slots, and the engine defers due checkpoints to them.
-//
-// The frame-statistics ring (RecentFrames) is deliberately not
-// serialized: it is introspection-only and feeds no Result field, so a
-// resumed run reports only frames executed since the resume.
 package core
 
 import (

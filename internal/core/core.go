@@ -201,11 +201,8 @@ type Protocol struct {
 	CleanupDelivered int64 // hops completed in clean-up phases
 	FramesRun        int64
 
-	// frameLog is a bounded ring of recent per-frame statistics.
-	frameLog   []FrameStat
-	frameHead  int
-	frameCount int
-	curFrame   FrameStat
+	// curFrame holds the running frame's statistics.
+	curFrame FrameStat
 
 	// Per-slot scratch, reused across calls (the simulator does not
 	// retain the slices Slot and Feedback hand around).
@@ -241,33 +238,9 @@ type FrameStat struct {
 	Potential  int   // Φ at frame end
 }
 
-// frameLogCap bounds the per-frame history kept for introspection.
-const frameLogCap = 512
-
-// recordFrame appends the finished frame's statistics to the ring.
+// recordFrame closes the finished frame's statistics.
 func (p *Protocol) recordFrame() {
 	p.curFrame.Potential = p.Potential()
-	if len(p.frameLog) < frameLogCap {
-		p.frameLog = append(p.frameLog, p.curFrame)
-	} else {
-		p.frameLog[p.frameHead] = p.curFrame
-		p.frameHead = (p.frameHead + 1) % frameLogCap
-	}
-	p.frameCount++
-}
-
-// RecentFrames returns up to k most recent completed frames' statistics,
-// oldest first.
-func (p *Protocol) RecentFrames(k int) []FrameStat {
-	n := len(p.frameLog)
-	if k > n {
-		k = n
-	}
-	out := make([]FrameStat, 0, k)
-	for i := n - k; i < n; i++ {
-		out = append(out, p.frameLog[(p.frameHead+i)%n])
-	}
-	return out
 }
 
 var _ sim.Protocol = (*Protocol)(nil)

@@ -296,42 +296,6 @@ func TestSizingInvariants(t *testing.T) {
 	}
 }
 
-func TestRecentFrames(t *testing.T) {
-	model, proc, m := lineSetup(t, 5, 4, 0.4)
-	proto, err := New(Config{Model: model, Alg: static.FullParallel{}, M: m, Lambda: 0.4, Eps: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(context.Background(), sim.Config{Slots: 5000, Seed: 161}, model, proc, proto); err != nil {
-		t.Fatal(err)
-	}
-	frames := proto.RecentFrames(10)
-	if len(frames) != 10 {
-		t.Fatalf("got %d frames, want 10", len(frames))
-	}
-	// Frames are consecutive and ascending.
-	for i := 1; i < len(frames); i++ {
-		if frames[i].Frame != frames[i-1].Frame+1 {
-			t.Fatalf("frames not consecutive: %d then %d", frames[i-1].Frame, frames[i].Frame)
-		}
-	}
-	// Under steady traffic most frames schedule and serve packets.
-	servedTotal := 0
-	for _, fr := range frames {
-		if fr.Active < 0 || fr.MainServed > fr.Active*5 {
-			t.Fatalf("implausible frame stat %+v", fr)
-		}
-		servedTotal += fr.MainServed
-	}
-	if servedTotal == 0 {
-		t.Error("no main-phase service in the recent frames")
-	}
-	// Asking for more frames than exist returns what exists.
-	if all := proto.RecentFrames(1 << 20); len(all) == 0 {
-		t.Error("RecentFrames with huge k returned nothing")
-	}
-}
-
 func TestDynamicWithMeasureBoundedAlgorithms(t *testing.T) {
 	// End-to-end with Decay and Spread, which take the distributed
 	// measure-bound path A(J, mJ) / A(1, mJ) inside the protocol.

@@ -67,47 +67,3 @@ func Uniform(rng *rand.Rand, n int, side float64) []Point {
 	}
 	return pts
 }
-
-// Clusters places n points in k clusters: cluster centers are uniform in
-// the side×side square and members are offset by a Gaussian of the given
-// standard deviation. Points are assigned to clusters round-robin so all
-// clusters have nearly equal size.
-func Clusters(rng *rand.Rand, n, k int, side, stddev float64) []Point {
-	if k < 1 {
-		k = 1
-	}
-	centers := Uniform(rng, k, side)
-	pts := make([]Point, n)
-	for i := range pts {
-		c := centers[i%k]
-		pts[i] = Point{
-			X: c.X + rng.NormFloat64()*stddev,
-			Y: c.Y + rng.NormFloat64()*stddev,
-		}
-	}
-	return pts
-}
-
-// BoundingBox returns the min and max corners of pts. It returns zero
-// points for an empty slice.
-func BoundingBox(pts []Point) (min, max Point) {
-	if len(pts) == 0 {
-		return
-	}
-	min, max = pts[0], pts[0]
-	for _, p := range pts[1:] {
-		if p.X < min.X {
-			min.X = p.X
-		}
-		if p.Y < min.Y {
-			min.Y = p.Y
-		}
-		if p.X > max.X {
-			max.X = p.X
-		}
-		if p.Y > max.Y {
-			max.Y = p.Y
-		}
-	}
-	return
-}

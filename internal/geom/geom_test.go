@@ -105,40 +105,6 @@ func TestUniformStaysInside(t *testing.T) {
 	}
 }
 
-func TestClusters(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	pts := Clusters(rng, 100, 4, 100, 1)
-	if len(pts) != 100 {
-		t.Fatalf("got %d points, want 100", len(pts))
-	}
-	// Points assigned to the same cluster should be near each other:
-	// points i and i+4 share a cluster (round-robin assignment).
-	var within, across float64
-	for i := 0; i+4 < 100; i += 4 {
-		within += pts[i].Dist(pts[i+4])
-	}
-	for i := 0; i+1 < 20; i++ {
-		across += pts[i].Dist(pts[i+1])
-	}
-	if within/25 > across/19 {
-		t.Errorf("within-cluster mean distance %v not below across-cluster %v", within/25, across/19)
-	}
-	// k < 1 must not panic and must produce n points.
-	if got := Clusters(rng, 7, 0, 10, 1); len(got) != 7 {
-		t.Errorf("Clusters with k=0 returned %d points", len(got))
-	}
-}
-
-func TestBoundingBox(t *testing.T) {
-	min, max := BoundingBox([]Point{{1, 5}, {-2, 3}, {4, -1}})
-	if min != (Point{-2, -1}) || max != (Point{4, 5}) {
-		t.Errorf("bbox = %v..%v", min, max)
-	}
-	if min, max := BoundingBox(nil); min != (Point{}) || max != (Point{}) {
-		t.Errorf("empty bbox = %v..%v, want zeros", min, max)
-	}
-}
-
 func TestAddScale(t *testing.T) {
 	p := Point{1, 2}.Add(Point{3, -1}).Scale(2)
 	if p != (Point{8, 2}) {

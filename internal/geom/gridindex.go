@@ -192,25 +192,6 @@ func (g *GridIndex) clampCell(p Point) (cx, cy int) {
 // CellAt returns the (clamped) grid cell containing p.
 func (g *GridIndex) CellAt(p Point) (cx, cy int) { return g.clampCell(p) }
 
-// Count returns the number of indexed points.
-func (g *GridIndex) Count() int { return g.count }
-
-// CellSize returns the side length of one grid cell.
-func (g *GridIndex) CellSize() float64 { return g.cell }
-
-// CellIDs returns the ids bucketed into cell (cx, cy), in selection
-// order. The slice aliases internal storage; do not modify it.
-func (g *GridIndex) CellIDs(cx, cy int) []int32 {
-	c := cy*g.cols + cx
-	return g.ids[g.start[c]:g.start[c+1]]
-}
-
-// CellWeight returns the weight sum of cell (cx, cy) — zero when the
-// index was filled without weights or the cell is empty.
-func (g *GridIndex) CellWeight(cx, cy int) float64 {
-	return g.cellWt[cy*g.cols+cx]
-}
-
 // CellMinDistSq returns the squared distance from p to the closest point
 // of cell (cx, cy)'s box — 0 when p lies inside it. It lower-bounds the
 // distance from p to every point bucketed in the cell.
@@ -410,8 +391,8 @@ func (g *GridIndex) Within(p Point, radius float64, pts []Point, dst, ring []int
 // DoublingDimension): then ring masses grow like ρ (the boundary of a
 // doubling ball) while per-point contributions decay like ρ^{-α}, so the
 // true tail decays geometrically and a constant number of rings pushes
-// the bound below any fixed floor ε. FarFieldSeriesBound states that
-// analytic form. minDist^α is Pow's, so math.Pow's bits at any α.
+// the bound below any fixed floor ε. minDist^α is Pow's, so math.Pow's
+// bits at any α.
 func FarFieldBound(alpha, remaining, minDist float64) float64 {
 	if remaining <= 0 {
 		return 0
@@ -420,40 +401,6 @@ func FarFieldBound(alpha, remaining, minDist float64) float64 {
 		return math.Inf(1)
 	}
 	return remaining / Pow(minDist, alpha)
-}
-
-// FarFieldSeriesBound bounds the total path-loss contribution of every
-// grid cell on rings ≥ fromRing around a query cell, assuming no cell
-// carries more than cellWeightCap total power: ring ρ has 8ρ cells at
-// distance ≥ (ρ-1)·cellSize, so the tail is at most
-//
-//	Σ_{ρ≥fromRing} 8ρ · cellWeightCap / ((ρ-1)·cellSize)^α,
-//
-// which converges exactly when α > 2 — the α-vs-doubling-dimension
-// condition of Corollary 14 (the plane's doubling dimension is 2; a ring
-// of radius ρ holds Θ(ρ^{dim}) = Θ(ρ²)/Θ(ρ) cells on its boundary). For
-// α ≤ 2 the series diverges and the bound is +Inf: without the fading
-// condition the far field cannot be truncated.
-func FarFieldSeriesBound(alpha, cellWeightCap, cellSize float64, fromRing int) float64 {
-	if cellWeightCap <= 0 {
-		return 0
-	}
-	if alpha <= 2 || cellSize <= 0 || fromRing < 2 {
-		return math.Inf(1)
-	}
-	total := 0.0
-	for rho := fromRing; ; rho++ {
-		term := 8 * float64(rho) * cellWeightCap / math.Pow(float64(rho-1)*cellSize, alpha)
-		total += term
-		// The terms decay like ρ^{1-α}; once a term is negligible
-		// relative to the accumulated sum, close the remainder with the
-		// integral comparison Σ_{ρ>R} ρ^{1-α} ≤ R^{2-α}/(α-2).
-		if term < 1e-12*total {
-			rhoF := float64(rho)
-			total += 8 * cellWeightCap * 2 * math.Pow(rhoF*cellSize, 2-alpha) / ((alpha - 2) * math.Pow(cellSize, 2))
-			return total
-		}
-	}
 }
 
 func clampInt(v, lo, hi int) int {

@@ -66,8 +66,8 @@ func TestGridIndexSubsetFill(t *testing.T) {
 	}
 	var g GridIndex
 	g.Fill(pts, sel, wt, 0)
-	if g.Count() != len(sel) {
-		t.Fatalf("Count = %d, want %d", g.Count(), len(sel))
+	if g.count != len(sel) {
+		t.Fatalf("Count = %d, want %d", g.count, len(sel))
 	}
 	// Every selected id appears in exactly the cell containing it, and
 	// cell weights sum to the selection's total weight.
@@ -79,7 +79,8 @@ func TestGridIndexSubsetFill(t *testing.T) {
 	var sumWt float64
 	for cy := 0; cy < g.rows; cy++ {
 		for cx := 0; cx < g.cols; cx++ {
-			for _, id := range g.CellIDs(cx, cy) {
+			ci := int32(cy*g.cols + cx)
+			for _, id := range g.CellIDsAt(ci) {
 				if id%2 != 0 {
 					t.Fatalf("unselected id %d in index", id)
 				}
@@ -88,7 +89,7 @@ func TestGridIndexSubsetFill(t *testing.T) {
 				}
 				seen++
 			}
-			sumWt += g.CellWeight(cx, cy)
+			sumWt += g.CellWeightAt(ci)
 		}
 	}
 	if seen != len(sel) {
@@ -99,8 +100,8 @@ func TestGridIndexSubsetFill(t *testing.T) {
 	}
 	// Refill with a different subset reuses buffers and stays correct.
 	g.Fill(pts, sel[:10], wt, 0)
-	if g.Count() != 10 {
-		t.Fatalf("refill Count = %d, want 10", g.Count())
+	if g.count != 10 {
+		t.Fatalf("refill Count = %d, want 10", g.count)
 	}
 	got, _ := g.Within(pts[sel[3]], 1e-9, pts, nil, nil)
 	found := false
@@ -180,31 +181,6 @@ func TestFarFieldBound(t *testing.T) {
 	}
 	if b := FarFieldBound(3, 1, 0); !math.IsInf(b, 1) {
 		t.Fatalf("zero-distance bound = %v, want +Inf", b)
-	}
-}
-
-func TestFarFieldSeriesBound(t *testing.T) {
-	// α > 2 (fading): the series converges and dominates an explicit
-	// ring-by-ring tail with the capped per-cell weight.
-	const alpha, cap1, cell = 3.0, 2.0, 1.5
-	b := FarFieldSeriesBound(alpha, cap1, cell, 4)
-	if math.IsInf(b, 1) || b <= 0 {
-		t.Fatalf("series bound = %v, want finite positive", b)
-	}
-	explicit := 0.0
-	for rho := 4; rho < 10_000; rho++ {
-		explicit += 8 * float64(rho) * cap1 / math.Pow(float64(rho-1)*cell, alpha)
-	}
-	if explicit > b {
-		t.Fatalf("explicit tail %v exceeds series bound %v", explicit, b)
-	}
-	// Starting further out shrinks the tail.
-	if b8 := FarFieldSeriesBound(alpha, cap1, cell, 8); b8 >= b {
-		t.Fatalf("bound from ring 8 (%v) not below bound from ring 4 (%v)", b8, b)
-	}
-	// α ≤ 2: no fading, the far field cannot be truncated.
-	if b2 := FarFieldSeriesBound(2, cap1, cell, 4); !math.IsInf(b2, 1) {
-		t.Fatalf("α=2 bound = %v, want +Inf", b2)
 	}
 }
 

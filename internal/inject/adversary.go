@@ -64,7 +64,7 @@ type Pattern struct {
 
 	nextID    int64
 	nextPath  int
-	spent     float64 // total measure injected, for AchievedRate
+	spent     float64 // total measure injected (checkpointed)
 	windows   int64
 	pending   []Packet
 	stepBuf   []Packet // Step result buffer, reused across slots
@@ -139,20 +139,10 @@ func (p *Pattern) Rate() float64 { return p.lambda }
 // Window implements Adversary.
 func (p *Pattern) Window() int { return p.w }
 
-// AchievedRate returns the long-run injected measure per slot so far —
-// at most λ, and strictly below it when packet prices do not divide the
-// window budget evenly.
-func (p *Pattern) AchievedRate() float64 {
-	if p.windows == 0 {
-		return 0
-	}
-	return p.spent / (float64(p.windows) * float64(p.w))
-}
-
 // planWindow decides the packets of the window starting at slot t0. The
 // spend per window never exceeds w·λ — unspent budget is forfeited, not
 // carried over, since a carried-over burst would overload some sliding
-// window. AchievedRate reports the resulting long-run rate.
+// window.
 func (p *Pattern) planWindow(t0 int64) {
 	p.windowTop = t0
 	p.windows++

@@ -66,24 +66,6 @@ func TestAllTimingsAdmissible(t *testing.T) {
 	}
 }
 
-func TestPatternAchievedRateApproachesLambda(t *testing.T) {
-	m := interference.Identity{Links: 4}
-	adv, err := NewPattern(m, patternPaths(4), 40, 0.8, TimingSpread)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(112))
-	for slot := int64(0); slot < 4000; slot++ {
-		adv.Step(slot, rng)
-	}
-	got := adv.AchievedRate()
-	// Identity model, single-hop unit-measure paths with per-window
-	// budget 32: exact spending is possible, so the rate should be close.
-	if got < 0.7 || got > 0.8+1e-9 {
-		t.Errorf("achieved rate %v, want ≈0.8", got)
-	}
-}
-
 func TestPatternBurstTiming(t *testing.T) {
 	m := interference.Identity{Links: 2}
 	adv, err := NewPattern(m, patternPaths(2), 10, 0.5, TimingBurst)
@@ -227,10 +209,5 @@ func TestAdversaryStringersAndRate(t *testing.T) {
 		if tm.String() == "" {
 			t.Errorf("empty string for timing %d", tm)
 		}
-	}
-	// AchievedRate before any window is 0.
-	fresh, _ := NewPattern(m, patternPaths(2), 10, 0.5, TimingBurst)
-	if fresh.AchievedRate() != 0 {
-		t.Error("fresh adversary has non-zero achieved rate")
 	}
 }

@@ -147,9 +147,8 @@ func NewStochastic(m interference.Model, gens []Generator) (*Stochastic, error) 
 }
 
 // newScaled builds the process of the generators with every choice
-// probability multiplied by factor. The scaled probabilities are
-// computed exactly as ScaleGenerators computes them, but land only in
-// the sampler's table: no scaled copy of the generators is built.
+// probability multiplied by factor. The scaled probabilities land only
+// in the sampler's table: no scaled copy of the generators is built.
 func newScaled(m interference.Model, gens []Generator, factor float64) (*Stochastic, error) {
 	if !(factor >= 0) {
 		return nil, fmt.Errorf("inject: negative or NaN scale factor %v", factor)
@@ -302,42 +301,13 @@ func (s *Stochastic) Step(t int64, rng *rand.Rand) []Packet {
 	return out
 }
 
-// ScaleGenerators multiplies every choice probability by factor,
-// returning new generators whose choices share one backing array. It
-// returns an error if factor is negative or NaN, or if any scaled
-// generator's probabilities would exceed 1.
-func ScaleGenerators(gens []Generator, factor float64) ([]Generator, error) {
-	if !(factor >= 0) {
-		return nil, fmt.Errorf("inject: negative or NaN scale factor %v", factor)
-	}
-	n := 0
-	for _, g := range gens {
-		n += len(g.Choices)
-	}
-	choices := make([]PathChoice, 0, n)
-	out := make([]Generator, len(gens))
-	for i, g := range gens {
-		lo := len(choices)
-		sum := 0.0
-		for _, c := range g.Choices {
-			choices = append(choices, PathChoice{Path: c.Path, P: c.P * factor})
-			sum += c.P * factor
-		}
-		if !(sum <= 1+1e-12) {
-			return nil, fmt.Errorf("inject: generator %d scales to total probability %v > 1", i, sum)
-		}
-		out[i].Choices = choices[lo:len(choices):len(choices)]
-	}
-	return out, nil
-}
-
 // StochasticAtRate scales the generators so the process's injection
 // rate is exactly lambda, and returns the resulting process: the same
-// process as NewStochastic over ScaleGenerators(gens, lambda/base),
-// without building either the unscaled process or the scaled
-// generators. It fails if the unscaled rate is zero or if scaling would
-// push a generator's total probability above 1 (add more generators in
-// that case).
+// process as NewStochastic over the generators with every choice
+// probability multiplied by lambda/base, without building either the
+// unscaled process or the scaled generators. It fails if the unscaled
+// rate is zero or if scaling would push a generator's total
+// probability above 1 (add more generators in that case).
 func StochasticAtRate(m interference.Model, gens []Generator, lambda float64) (*Stochastic, error) {
 	base, err := injectionRate(m, gens, 1)
 	if err != nil {

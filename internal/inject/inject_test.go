@@ -113,27 +113,6 @@ func TestStochasticAtRate(t *testing.T) {
 	}
 }
 
-func TestScaleGenerators(t *testing.T) {
-	gens := singleHopGens(2, 0.4)
-	scaled, err := ScaleGenerators(gens, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scaled[0].Choices[0].P != 0.8 {
-		t.Errorf("scaled P = %v, want 0.8", scaled[0].Choices[0].P)
-	}
-	// The original must be untouched.
-	if gens[0].Choices[0].P != 0.4 {
-		t.Error("ScaleGenerators mutated input")
-	}
-	if _, err := ScaleGenerators(gens, 3); err == nil {
-		t.Error("over-scaling accepted")
-	}
-	if _, err := ScaleGenerators(gens, -1); err == nil {
-		t.Error("negative scaling accepted")
-	}
-}
-
 func TestPathRequestsCountsMultiplicity(t *testing.T) {
 	r := PathRequests(3, netgraph.Path{0, 1, 0})
 	if r[0] != 2 || r[1] != 1 || r[2] != 0 {

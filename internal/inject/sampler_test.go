@@ -239,9 +239,6 @@ func TestGeneratorTotals(t *testing.T) {
 		})
 	}
 	gens := singleHopGens(2, 0.25)
-	if _, err := ScaleGenerators(gens, math.NaN()); err == nil {
-		t.Error("NaN scale factor accepted")
-	}
 	if _, err := StochasticAtRate(interference.Identity{Links: 2}, gens, math.NaN()); err == nil {
 		t.Error("NaN rate accepted")
 	}
@@ -249,8 +246,9 @@ func TestGeneratorTotals(t *testing.T) {
 
 // TestStochasticAtRateMatchesScaleGenerators pins StochasticAtRate, which
 // scales into the sampler's table directly, to its reference: the
-// process NewStochastic builds over ScaleGenerators' output. Rates and
-// every packet must match bit for bit.
+// process NewStochastic builds over the generators with every choice
+// probability multiplied by the same factor. Rates and every packet
+// must match bit for bit.
 func TestStochasticAtRateMatchesScaleGenerators(t *testing.T) {
 	m := interference.AllOnes{Links: 5}
 	gens := []Generator{
@@ -268,9 +266,12 @@ func TestStochasticAtRateMatchesScaleGenerators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, err := ScaleGenerators(gens, lambda/base.Rate())
-	if err != nil {
-		t.Fatal(err)
+	factor := lambda / base.Rate()
+	scaled := make([]Generator, len(gens))
+	for i, g := range gens {
+		for _, c := range g.Choices {
+			scaled[i].Choices = append(scaled[i].Choices, PathChoice{Path: c.Path, P: c.P * factor})
+		}
 	}
 	want, err := NewStochastic(m, scaled)
 	if err != nil {

@@ -177,13 +177,3 @@ func ValidateWeights(m Model) error {
 	}
 	return nil
 }
-
-// Requests builds a request vector for m links from a multiset of link
-// IDs.
-func Requests(numLinks int, links []int) []int {
-	r := make([]int, numLinks)
-	for _, e := range links {
-		r[e]++
-	}
-	return r
-}

@@ -185,16 +185,6 @@ func TestSlotFeasible(t *testing.T) {
 	}
 }
 
-func TestRequests(t *testing.T) {
-	r := Requests(4, []int{0, 2, 2, 3})
-	want := []int{1, 0, 2, 1}
-	for i := range want {
-		if r[i] != want[i] {
-			t.Fatalf("Requests = %v, want %v", r, want)
-		}
-	}
-}
-
 func TestLossyModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	inner := Identity{Links: 2}

@@ -295,8 +295,8 @@ func (s *Sparse) Validate() error {
 	return nil
 }
 
-// IncrementalMeasure maintains I = ‖W·R‖∞ under single-request updates:
-// Add(e)/Remove(e) adjust the affected measure components in
+// IncrementalMeasure maintains I = ‖W·R‖∞ under per-link updates:
+// AddN(e, k)/RemoveN(e, k) adjust the affected measure components in
 // O(nnz(column e)) instead of recomputing the full O(E²) product, and
 // Measure reads the current maximum in O(1) amortised. This is the
 // sliding-window accountant behind the adversary admissibility checker
@@ -305,8 +305,8 @@ func (s *Sparse) Validate() error {
 // The components are updated by floating-point addition and
 // subtraction, so after many updates they can drift from a fresh
 // evaluation by accumulated rounding (≈1 ulp per touch). Callers that
-// compare against tight thresholds should Resync periodically; Add and
-// Remove themselves never drift the integer request vector.
+// compare against tight thresholds should Resync periodically; AddN and
+// RemoveN themselves never drift the integer request vector.
 //
 // Not safe for concurrent use; shards of a parallel run each own one.
 type IncrementalMeasure struct {
@@ -340,9 +340,6 @@ func NewIncremental(m Model) *IncrementalMeasure {
 	return im
 }
 
-// Add records one more request on link e.
-func (im *IncrementalMeasure) Add(e int) { im.update(e, 1) }
-
 // AddN records k more requests on link e in a single column scan.
 func (im *IncrementalMeasure) AddN(e, k int) {
 	if k < 0 {
@@ -352,10 +349,6 @@ func (im *IncrementalMeasure) AddN(e, k int) {
 		im.update(e, k)
 	}
 }
-
-// Remove retracts one request on link e. It panics if none is pending
-// (programmer error: the request vector would go negative).
-func (im *IncrementalMeasure) Remove(e int) { im.RemoveN(e, 1) }
 
 // RemoveN retracts k requests on link e in a single column scan. It
 // panics if fewer than k are pending.
@@ -408,17 +401,6 @@ func (im *IncrementalMeasure) Measure() float64 {
 	return im.maxVal
 }
 
-// At returns the current measure component (W·R)(e).
-func (im *IncrementalMeasure) At(e int) float64 {
-	if im.uniform {
-		return float64(im.total)
-	}
-	return im.comp[e]
-}
-
-// Count returns the current request count on link e.
-func (im *IncrementalMeasure) Count(e int) int { return im.r[e] }
-
 func (im *IncrementalMeasure) rescan() {
 	im.maxIdx, im.maxVal = 0, 0
 	for e, v := range im.comp {
@@ -449,18 +431,4 @@ func (im *IncrementalMeasure) Resync() {
 		}
 	}
 	im.rescan()
-}
-
-// Reset returns the accumulator to the empty request vector.
-func (im *IncrementalMeasure) Reset() {
-	for e := range im.r {
-		im.r[e] = 0
-	}
-	im.total = 0
-	if !im.uniform {
-		for e := range im.comp {
-			im.comp[e] = 0
-		}
-	}
-	im.maxIdx, im.maxVal, im.dirty = 0, 0, false
 }

@@ -1,11 +1,11 @@
 // Package mac implements the multiple-access-channel instantiation of
-// Section 7.1: all W entries are 1, the interference measure is the
-// total packet count, and only a lone transmission succeeds. It provides
-// the paper's Algorithm 2 (a symmetric, acknowledgement-based decay
-// scheme, Lemma 15) and Round-Robin-Withholding (the asymmetric
-// deterministic scheme of Lemma 17), which the dynamic transformation
-// turns into stable protocols for λ < 1/e and λ < 1 respectively
-// (Corollaries 16 and 18).
+// Section 7.1 (interference.AllOnes): all W entries are 1, the
+// interference measure is the total packet count, and only a lone
+// transmission succeeds. It provides the paper's Algorithm 2 (a
+// symmetric, acknowledgement-based decay scheme, Lemma 15) and
+// Round-Robin-Withholding (the asymmetric deterministic scheme of
+// Lemma 17), which the dynamic transformation turns into stable
+// protocols for λ < 1/e and λ < 1 respectively (Corollaries 16 and 18).
 package mac
 
 import (
@@ -18,10 +18,6 @@ import (
 
 // E is Euler's number, the threshold constant of Corollary 16.
 const E = math.E
-
-// Model returns the multiple-access-channel interference model for n
-// stations (links).
-func Model(n int) interference.Model { return interference.AllOnes{Links: n} }
 
 // Decay is Algorithm 2: a symmetric algorithm for the multiple-access
 // channel that transmits n packets in (1+δ)e·n + O(φ²·log²n) slots with

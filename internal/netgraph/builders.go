@@ -1,7 +1,6 @@
 package netgraph
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -78,7 +77,7 @@ func RandomPairs(rng *rand.Rand, n int, side, minLen, maxLen float64) *Graph {
 		s := geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
 		length := minLen + rng.Float64()*(maxLen-minLen)
 		angle := rng.Float64() * 2 * 3.141592653589793
-		r := geom.Point{X: s.X + length*cos(angle), Y: s.Y + length*sin(angle)}
+		r := geom.Point{X: s.X + length*math.Cos(angle), Y: s.Y + length*math.Sin(angle)}
 		pts[2*i], pts[2*i+1] = s, r
 	}
 	if err := g.SetPositions(pts); err != nil {
@@ -106,7 +105,7 @@ func PairsAt(rng *rand.Rand, senders []geom.Point, minLen, maxLen float64) *Grap
 	for i, s := range senders {
 		length := minLen + rng.Float64()*(maxLen-minLen)
 		angle := rng.Float64() * 2 * 3.141592653589793
-		r := geom.Point{X: s.X + length*cos(angle), Y: s.Y + length*sin(angle)}
+		r := geom.Point{X: s.X + length*math.Cos(angle), Y: s.Y + length*math.Sin(angle)}
 		pts[2*i], pts[2*i+1] = s, r
 	}
 	if err := g.SetPositions(pts); err != nil {
@@ -148,57 +147,6 @@ func NestedChain(n int, growth float64) *Graph {
 	return g
 }
 
-// Ring builds n nodes on a circle with bidirectional neighbour links.
-func Ring(n int, radius float64) *Graph {
-	g := New(n)
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		angle := 2 * math.Pi * float64(i) / float64(n)
-		pts[i] = geom.Point{X: radius * math.Cos(angle), Y: radius * math.Sin(angle)}
-	}
-	if err := g.SetPositions(pts); err != nil {
-		panic(err)
-	}
-	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		g.MustAddLink(NodeID(i), NodeID(j))
-		g.MustAddLink(NodeID(j), NodeID(i))
-	}
-	return g
-}
-
-// BinaryTree builds a complete binary tree of the given depth with
-// bidirectional parent-child links; node 0 is the root. Positions place
-// each level on its own row, which keeps sibling subtrees apart for
-// geometric models.
-func BinaryTree(depth int, spacing float64) *Graph {
-	n := (1 << (depth + 1)) - 1
-	g := New(n)
-	pts := make([]geom.Point, n)
-	for i := 0; i < n; i++ {
-		level := 0
-		for (1<<(level+1))-1 <= i {
-			level++
-		}
-		posInLevel := i - ((1 << level) - 1)
-		width := float64(int(1) << depth)
-		step := width / float64(int(1)<<level)
-		pts[i] = geom.Point{
-			X: (float64(posInLevel) + 0.5) * step * spacing,
-			Y: float64(level) * spacing,
-		}
-	}
-	if err := g.SetPositions(pts); err != nil {
-		panic(err)
-	}
-	for i := 1; i < n; i++ {
-		parent := NodeID((i - 1) / 2)
-		g.MustAddLink(parent, NodeID(i))
-		g.MustAddLink(NodeID(i), parent)
-	}
-	return g
-}
-
 // MACChannel builds the abstract multiple-access-channel topology: n
 // stations, each with one link to a common sink. Geometry is omitted;
 // only the all-ones interference model is meaningful on this graph.
@@ -210,40 +158,3 @@ func MACChannel(n int) *Graph {
 	}
 	return g
 }
-
-// Star builds a bidirectional star with n leaves around node 0.
-func Star(n int, spacing float64) *Graph {
-	g := New(n + 1)
-	pts := make([]geom.Point, n+1)
-	pts[0] = geom.Point{}
-	for i := 1; i <= n; i++ {
-		angle := 2 * 3.141592653589793 * float64(i-1) / float64(n)
-		pts[i] = geom.Point{X: spacing * cos(angle), Y: spacing * sin(angle)}
-	}
-	if err := g.SetPositions(pts); err != nil {
-		panic(err)
-	}
-	for i := 1; i <= n; i++ {
-		g.MustAddLink(0, NodeID(i))
-		g.MustAddLink(NodeID(i), 0)
-	}
-	return g
-}
-
-// DumbbellPaths returns k node-disjoint-free paths crossing a line
-// network end to end; it is a convenience for latency experiments and
-// returns an error if the graph is not a line built by LineNetwork.
-func DumbbellPaths(g *Graph, hops int) ([]Path, error) {
-	if hops < 1 || hops >= g.NumNodes() {
-		return nil, fmt.Errorf("netgraph: %d hops impossible on %d nodes", hops, g.NumNodes())
-	}
-	p, ok := ShortestPath(g, 0, NodeID(hops))
-	if !ok {
-		return nil, fmt.Errorf("netgraph: node %d unreachable from 0", hops)
-	}
-	return []Path{p}, nil
-}
-
-// cos and sin wrap math for terse builder code.
-func cos(x float64) float64 { return math.Cos(x) }
-func sin(x float64) float64 { return math.Sin(x) }

@@ -3,7 +3,6 @@ package netgraph
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"dynsched/internal/geom"
@@ -163,9 +162,6 @@ func TestRoutingTableMatchesBFS(t *testing.T) {
 			}
 		}
 	}
-	if rt.Diameter() < 1 {
-		t.Errorf("diameter %d suspiciously small", rt.Diameter())
-	}
 }
 
 func TestInstanceM(t *testing.T) {
@@ -223,26 +219,6 @@ func TestMACChannelAndStar(t *testing.T) {
 	if g.NumLinks() != 5 || g.NumNodes() != 6 {
 		t.Errorf("MACChannel: %d links, %d nodes", g.NumLinks(), g.NumNodes())
 	}
-	s := Star(4, 3)
-	if s.NumLinks() != 8 {
-		t.Errorf("Star links = %d, want 8", s.NumLinks())
-	}
-	for _, l := range s.Links() {
-		if d := s.LinkDist(l.ID); math.Abs(d-3) > 1e-9 {
-			t.Errorf("star link length %v, want 3", d)
-		}
-	}
-}
-
-func TestDumbbellPaths(t *testing.T) {
-	g := LineNetwork(6, 1)
-	ps, err := DumbbellPaths(g, 5)
-	if err != nil || len(ps) != 1 || len(ps[0]) != 5 {
-		t.Errorf("DumbbellPaths = (%v, %v)", ps, err)
-	}
-	if _, err := DumbbellPaths(g, 9); err == nil {
-		t.Error("impossible hop count accepted")
-	}
 }
 
 func TestNestedChain(t *testing.T) {
@@ -260,40 +236,6 @@ func TestNestedChain(t *testing.T) {
 	g2 := NestedChain(3, 0.5)
 	if d := g2.LinkDist(2); math.Abs(d-4) > 1e-9 {
 		t.Errorf("clamped growth produced length %v, want 4", d)
-	}
-}
-
-func TestRing(t *testing.T) {
-	g := Ring(6, 10)
-	if g.NumLinks() != 12 {
-		t.Fatalf("links = %d, want 12", g.NumLinks())
-	}
-	// All ring links have equal length (the hexagon side).
-	want := g.LinkDist(0)
-	for _, l := range g.Links() {
-		if d := g.LinkDist(l.ID); math.Abs(d-want) > 1e-9 {
-			t.Errorf("ring link %d length %v, want %v", l.ID, d, want)
-		}
-	}
-	// The ring is strongly connected with diameter n/2.
-	p, ok := ShortestPath(g, 0, 3)
-	if !ok || len(p) != 3 {
-		t.Errorf("antipodal path = (%v, %v), want 3 hops", p, ok)
-	}
-}
-
-func TestBinaryTree(t *testing.T) {
-	g := BinaryTree(3, 1) // 15 nodes
-	if g.NumNodes() != 15 {
-		t.Fatalf("nodes = %d, want 15", g.NumNodes())
-	}
-	if g.NumLinks() != 28 { // 14 undirected edges × 2
-		t.Fatalf("links = %d, want 28", g.NumLinks())
-	}
-	// Leaf 14's path to the root has 3 hops.
-	p, ok := ShortestPath(g, 14, 0)
-	if !ok || len(p) != 3 {
-		t.Errorf("leaf-to-root path = (%v, %v), want 3 hops", p, ok)
 	}
 }
 
@@ -375,31 +317,5 @@ func TestMetricGraphSupportsSINR(t *testing.T) {
 	}
 	if d := g.SenderReceiverDist(0, 1); d != 50 {
 		t.Fatalf("cross distance %v, want 50", d)
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	g := LineNetwork(3, 1)
-	var b strings.Builder
-	if err := g.WriteDOT(&b, "line"); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{`digraph "line"`, "n0 -> n1", "n1 -> n0", `pos="1,0!"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, out)
-		}
-	}
-	// Abstract graphs emit nodes without pins.
-	a := MACChannel(2)
-	b.Reset()
-	if err := a.WriteDOT(&b, ""); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), "pos=") {
-		t.Error("abstract graph emitted positions")
-	}
-	if !strings.Contains(b.String(), `digraph "network"`) {
-		t.Error("default name not applied")
 	}
 }

@@ -131,18 +131,6 @@ func (rt *RoutingTable) Path(u, v NodeID) (Path, bool) {
 	return p, ok
 }
 
-// Diameter returns the longest shortest-path hop count over connected
-// pairs, or 0 for a graph with no reachable pairs.
-func (rt *RoutingTable) Diameter() int {
-	d := 0
-	for _, p := range rt.paths {
-		if len(p) > d {
-			d = len(p)
-		}
-	}
-	return d
-}
-
 // Instance couples a graph with the path-length bound D and exposes the
 // significant network size m = max(|E|, D) from Section 2.
 type Instance struct {

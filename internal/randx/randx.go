@@ -22,7 +22,6 @@ import (
 // draw == one counter increment regardless of which method rand.Rand
 // dispatches to.
 type CountingSource struct {
-	seed  int64
 	src   rand.Source64
 	draws uint64
 }
@@ -30,7 +29,7 @@ type CountingSource struct {
 // NewCounting returns a counting source seeded with seed.
 // rand.NewSource's result always implements Source64.
 func NewCounting(seed int64) *CountingSource {
-	return &CountingSource{seed: seed, src: rand.NewSource(seed).(rand.Source64)}
+	return &CountingSource{src: rand.NewSource(seed).(rand.Source64)}
 }
 
 // Int63 implements rand.Source.
@@ -49,14 +48,9 @@ func (c *CountingSource) Uint64() uint64 {
 
 // Seed implements rand.Source: reseed and reset the draw count.
 func (c *CountingSource) Seed(seed int64) {
-	c.seed = seed
 	c.src = rand.NewSource(seed).(rand.Source64)
 	c.draws = 0
 }
-
-// SeedValue returns the seed the source was created (or last reseeded)
-// with.
-func (c *CountingSource) SeedValue() int64 { return c.seed }
 
 // Draws returns the number of draws consumed since the last (re)seed.
 func (c *CountingSource) Draws() uint64 { return c.draws }

@@ -694,13 +694,6 @@ func (s *Server) register(j *Job) {
 	s.order = kept
 }
 
-// jobCount returns the number of registered jobs.
-func (s *Server) jobCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.jobs)
-}
-
 // job looks a registered job up.
 func (s *Server) job(id string) (*Job, bool) {
 	s.mu.Lock()

@@ -218,7 +218,7 @@ func (o *queueObserver) RestoreState(data []byte) error {
 }
 
 // linkObserver accumulates per-link attempt and service counts, the
-// inputs of LinkUtilization and FairnessIndex.
+// inputs of FairnessIndex.
 type linkObserver struct {
 	BaseObserver
 	served   []int64

@@ -120,15 +120,6 @@ type Result struct {
 	PerLinkAttempts []int64 `json:"perLinkAttempts"`
 }
 
-// LinkUtilization returns the fraction of slots in which link e carried
-// a successful transmission.
-func (r *Result) LinkUtilization(e int) float64 {
-	if r.Slots == 0 || e < 0 || e >= len(r.PerLinkServed) {
-		return 0
-	}
-	return float64(r.PerLinkServed[e]) / float64(r.Slots)
-}
-
 // FairnessIndex returns Jain's fairness index over per-link service
 // counts, restricted to links that participated at all — attempted, or
 // served even without a recorded attempt: 1 means perfectly even
@@ -150,14 +141,6 @@ func (r *Result) FairnessIndex() float64 {
 		return 1
 	}
 	return sum * sum / (float64(n) * sumSq)
-}
-
-// Throughput returns delivered packets per slot.
-func (r *Result) Throughput() float64 {
-	if r.Slots == 0 {
-		return 0
-	}
-	return float64(r.Delivered) / float64(r.Slots)
 }
 
 // cancelCheckMask throttles the per-slot context poll: the context is

@@ -42,15 +42,12 @@ func (d Densify) phi() float64 {
 	return d.Phi
 }
 
+// chi returns the configured χ, or the paper's χ = 6(ln m + 9) for a
+// network of m links.
 func (d Densify) chi(numLinks int) float64 {
 	if d.Chi > 0 {
 		return d.Chi
 	}
-	return 6 * (math.Log(float64(numLinks)) + 9)
-}
-
-// PaperChi returns the paper's χ = 6(ln m + 9) for a network of m links.
-func PaperChi(numLinks int) float64 {
 	return 6 * (math.Log(float64(numLinks)) + 9)
 }
 

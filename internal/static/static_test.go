@@ -345,18 +345,6 @@ func TestAlgorithmNames(t *testing.T) {
 	}
 }
 
-func TestPaperChi(t *testing.T) {
-	// χ = 6(ln m + 9); spot-check m = e (ln = 1) → 60.
-	got := PaperChi(2)
-	if got < 55 || got > 65 {
-		t.Errorf("PaperChi(2) = %v, want ≈ 58", got)
-	}
-	// Monotone in m.
-	if PaperChi(100) <= PaperChi(10) {
-		t.Error("PaperChi not monotone")
-	}
-}
-
 func TestDensifyPaperDefaultChi(t *testing.T) {
 	// With Chi = 0 the paper default kicks in; the plan must still be
 	// coherent (positive budgets, runnable).

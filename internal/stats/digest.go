@@ -1,11 +1,9 @@
-// Digest is a mergeable streaming quantile sketch with bounded
-// memory, in the DDSketch family: values are counted in
-// logarithmically-spaced buckets, giving a guaranteed relative error
-// on every quantile regardless of how many samples stream through.
-// Unlike Series it never grows with the run length, and unlike
-// Histogram its shape does not depend on a configured range — two
-// digests with the same accuracy can always be merged, which is what
-// makes per-unit results aggregable across a sharded plan.
+// Digest is a streaming quantile sketch with bounded memory, in the
+// DDSketch family: values are counted in logarithmically-spaced
+// buckets, giving a guaranteed relative error on every quantile
+// regardless of how many samples stream through. Unlike Series it
+// never grows with the run length, and unlike Histogram its shape does
+// not depend on a configured range.
 package stats
 
 import (
@@ -35,8 +33,7 @@ type Digest struct {
 }
 
 // NewDigest creates a digest with the given relative accuracy
-// (0 < alpha < 1); alpha <= 0 uses DefaultDigestAlpha. Digests must
-// share an alpha to be merged.
+// (0 < alpha < 1); alpha <= 0 uses DefaultDigestAlpha.
 func NewDigest(alpha float64) *Digest {
 	if alpha <= 0 {
 		alpha = DefaultDigestAlpha
@@ -150,31 +147,6 @@ func (d *Digest) Quantile(q float64) float64 {
 		}
 	}
 	return d.max
-}
-
-// Merge folds other into d. Both must have been built with the same
-// alpha (same bucket boundaries); merging is exact — the result is
-// identical to having streamed both inputs into one digest.
-func (d *Digest) Merge(other *Digest) error {
-	if other == nil || other.n == 0 {
-		return nil
-	}
-	if other.alpha != d.alpha {
-		return fmt.Errorf("stats: cannot merge digests with alpha %v and %v", d.alpha, other.alpha)
-	}
-	d.n += other.n
-	d.sum += other.sum
-	d.zero += other.zero
-	if other.min < d.min {
-		d.min = other.min
-	}
-	if other.max > d.max {
-		d.max = other.max
-	}
-	for k, c := range other.counts {
-		d.counts[k] += c
-	}
-	return nil
 }
 
 // digestJSON is the wire form. Buckets are sorted [index, count]

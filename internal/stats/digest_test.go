@@ -38,67 +38,6 @@ func sortFloats(v []float64) {
 	}
 }
 
-// Merging two digests must be exact: identical to streaming every
-// sample into a single digest.
-func TestDigestMergeExact(t *testing.T) {
-	a, b, all := NewDigest(0.01), NewDigest(0.01), NewDigest(0.01)
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 5000; i++ {
-		x := rng.Float64() * 1000
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-		all.Add(x)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	// Bucket counts and extremes merge exactly; the running sum can
-	// differ in the last ulp from addition order.
-	if !sameModuloSum(t, a, all) {
-		t.Fatal("merged digest differs from single-stream digest")
-	}
-}
-
-// sameModuloSum compares two JSON-marshalable sketches field-for-field
-// with the floating-point "sum" compared within 1e-9 relative
-// tolerance (summation order differs between merged and single-stream
-// accumulation).
-func sameModuloSum(t *testing.T, a, b interface{ MarshalJSON() ([]byte, error) }) bool {
-	t.Helper()
-	var da, db map[string]json.RawMessage
-	ba, _ := a.MarshalJSON()
-	bb, _ := b.MarshalJSON()
-	json.Unmarshal(ba, &da)
-	json.Unmarshal(bb, &db)
-	var sa, sb float64
-	json.Unmarshal(da["sum"], &sa)
-	json.Unmarshal(db["sum"], &sb)
-	if math.Abs(sa-sb) > 1e-9*math.Max(math.Abs(sa), 1) {
-		t.Errorf("sums differ: %v vs %v", sa, sb)
-		return false
-	}
-	delete(da, "sum")
-	delete(db, "sum")
-	for k, v := range da {
-		if string(db[k]) != string(v) {
-			t.Errorf("field %q differs: %s vs %s", k, v, db[k])
-			return false
-		}
-	}
-	return len(da) == len(db)
-}
-
-func TestDigestMergeAlphaMismatch(t *testing.T) {
-	a, b := NewDigest(0.01), NewDigest(0.05)
-	b.Add(1)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("expected alpha mismatch error")
-	}
-}
-
 func TestDigestJSONRoundTrip(t *testing.T) {
 	d := NewDigest(0.01)
 	for _, x := range []float64{0, 1, 1, 2.5, 300, 1e6} {
@@ -125,31 +64,6 @@ func TestDigestEmpty(t *testing.T) {
 	d := NewDigest(0)
 	if d.Quantile(0.5) != 0 || d.Mean() != 0 || d.Min() != 0 || d.Max() != 0 {
 		t.Fatal("empty digest should report zeros")
-	}
-}
-
-func TestHistogramMergeExact(t *testing.T) {
-	a, b, all := NewHistogram(2, 16), NewHistogram(2, 16), NewHistogram(2, 16)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 2000; i++ {
-		x := rng.Float64() * 40 // exercises overflow too
-		if i%3 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-		all.Add(x)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if !sameModuloSum(t, a, all) {
-		t.Fatal("merged histogram differs from single-stream histogram")
-	}
-	bad := NewHistogram(3, 16)
-	bad.Add(1)
-	if err := a.Merge(bad); err == nil {
-		t.Fatal("expected shape mismatch error")
 	}
 }
 

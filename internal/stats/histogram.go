@@ -80,31 +80,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.max
 }
 
-// Merge folds other into h. Both histograms must share a shape
-// (bucket width and count) — true for any two runs of the same
-// simulation config, which is what plan-level aggregation merges.
-// The merge is exact: identical to streaming both inputs into one
-// histogram.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other == nil || other.n == 0 {
-		return nil
-	}
-	if other.width != h.width || len(other.counts) != len(h.counts) {
-		return fmt.Errorf("stats: cannot merge histograms with shapes %v×%d and %v×%d",
-			h.width, len(h.counts), other.width, len(other.counts))
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.overflow += other.overflow
-	h.sum += other.sum
-	h.n += other.n
-	if other.max > h.max {
-		h.max = other.max
-	}
-	return nil
-}
-
 // String renders a compact textual summary.
 func (h *Histogram) String() string {
 	var b strings.Builder

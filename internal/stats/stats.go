@@ -36,13 +36,6 @@ func (s *Summary) Add(x float64) {
 	s.m2 += d * (x - s.mean)
 }
 
-// AddN records the same observation n times.
-func (s *Summary) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		s.Add(x)
-	}
-}
-
 // N returns the number of observations.
 func (s *Summary) N() int64 { return s.n }
 
@@ -68,9 +61,8 @@ func (s *Summary) Max() float64 { return s.max }
 
 // SummaryView is a Summary's headline numbers in exported, JSON-ready
 // form — for progress events and other wire payloads where the
-// mergeable internal state (m2) is noise. Unlike Summary's own
-// MarshalJSON it is lossy: a view cannot be folded back into an
-// accumulator.
+// internal state (m2) is noise. Unlike Summary's own MarshalJSON it is
+// lossy: a view cannot be restored into an accumulator.
 type SummaryView struct {
 	N    int64   `json:"n"`
 	Mean float64 `json:"mean"`
@@ -82,29 +74,6 @@ type SummaryView struct {
 // View returns the summary's headline numbers.
 func (s Summary) View() SummaryView {
 	return SummaryView{N: s.n, Mean: s.Mean(), Std: s.Std(), Min: s.min, Max: s.max}
-}
-
-// Merge folds other into s, as if all of other's observations had been
-// added to s directly.
-func (s *Summary) Merge(other *Summary) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *other
-		return
-	}
-	n := s.n + other.n
-	d := other.mean - s.mean
-	mean := s.mean + d*float64(other.n)/float64(n)
-	m2 := s.m2 + other.m2 + d*d*float64(s.n)*float64(other.n)/float64(n)
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-	s.n, s.mean, s.m2 = n, mean, m2
 }
 
 // String formats the summary for experiment tables.
@@ -122,26 +91,6 @@ func Quantile(xs []float64, q float64) float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
-// Quantiles returns the quantiles of xs at each probability in qs,
-// sorting only once.
-func Quantiles(xs []float64, qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	if len(xs) == 0 {
-		return out
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	for i, q := range qs {
-		out[i] = quantileSorted(sorted, q)
-	}
-	return out
-}
-
-func quantileSorted(sorted []float64, q float64) float64 {
 	if q <= 0 {
 		return sorted[0]
 	}

@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -33,51 +32,6 @@ func TestSummaryBasics(t *testing.T) {
 	}
 }
 
-func TestSummaryAddN(t *testing.T) {
-	var a, b Summary
-	a.AddN(3, 5)
-	for i := 0; i < 5; i++ {
-		b.Add(3)
-	}
-	if a.N() != b.N() || !almostEq(a.Mean(), b.Mean(), 1e-12) {
-		t.Fatalf("AddN mismatch: %v vs %v", a.String(), b.String())
-	}
-}
-
-func TestSummaryMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	check := func(n1, n2 int) {
-		var all, a, b Summary
-		for i := 0; i < n1; i++ {
-			x := rng.NormFloat64()*3 + 1
-			all.Add(x)
-			a.Add(x)
-		}
-		for i := 0; i < n2; i++ {
-			x := rng.NormFloat64()*0.5 - 2
-			all.Add(x)
-			b.Add(x)
-		}
-		a.Merge(&b)
-		if a.N() != all.N() {
-			t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-		}
-		if !almostEq(a.Mean(), all.Mean(), 1e-9) {
-			t.Errorf("merged mean %v, want %v", a.Mean(), all.Mean())
-		}
-		if !almostEq(a.Var(), all.Var(), 1e-9) {
-			t.Errorf("merged var %v, want %v", a.Var(), all.Var())
-		}
-		if a.Min() != all.Min() || a.Max() != all.Max() {
-			t.Errorf("merged min/max %v/%v, want %v/%v", a.Min(), a.Max(), all.Min(), all.Max())
-		}
-	}
-	check(10, 20)
-	check(0, 5)
-	check(5, 0)
-	check(1, 1)
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
 	tests := []struct {
@@ -96,21 +50,6 @@ func TestQuantile(t *testing.T) {
 	}
 	if got := Quantile(nil, 0.5); got != 0 {
 		t.Errorf("Quantile(nil) = %v, want 0", got)
-	}
-}
-
-func TestQuantilesMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 101)
-	for i := range xs {
-		xs[i] = rng.Float64() * 100
-	}
-	qs := []float64{0, 0.1, 0.5, 0.9, 0.99, 1}
-	multi := Quantiles(xs, qs...)
-	for i, q := range qs {
-		if single := Quantile(xs, q); !almostEq(multi[i], single, 1e-12) {
-			t.Errorf("Quantiles[%v] = %v, Quantile = %v", q, multi[i], single)
-		}
 	}
 }
 

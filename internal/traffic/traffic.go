@@ -1,13 +1,12 @@
 // Package traffic builds the injection workloads the experiments and
-// examples share: single-hop per-link load, convergecast to a sink,
-// uniform random pairs, and hotspot patterns. Each builder returns
-// stochastic generators wired to an exact target rate in the model's
-// interference-measure units.
+// examples share: single-hop per-link load, explicit paths and
+// convergecast to a sink. Each builder returns stochastic generators
+// wired to an exact target rate in the model's interference-measure
+// units.
 package traffic
 
 import (
 	"fmt"
-	"math/rand"
 
 	"dynsched/internal/inject"
 	"dynsched/internal/interference"
@@ -64,102 +63,6 @@ func Convergecast(m interference.Model, g *netgraph.Graph, sink netgraph.NodeID,
 		}
 	}
 	proc, err := Paths(m, paths, lambda)
-	if err != nil {
-		return nil, 0, err
-	}
-	return proc, maxHops, nil
-}
-
-// RandomPairs draws k random source–destination pairs (connected ones)
-// and routes them along shortest paths. It returns the process and the
-// longest route.
-func RandomPairs(rng *rand.Rand, m interference.Model, g *netgraph.Graph, k int, lambda float64) (*inject.Stochastic, int, error) {
-	rt := netgraph.NewRoutingTable(g)
-	var paths []netgraph.Path
-	maxHops := 0
-	attempts := 0
-	for len(paths) < k {
-		attempts++
-		if attempts > 100*k {
-			return nil, 0, fmt.Errorf("traffic: could not find %d connected pairs", k)
-		}
-		u := netgraph.NodeID(rng.Intn(g.NumNodes()))
-		v := netgraph.NodeID(rng.Intn(g.NumNodes()))
-		if u == v {
-			continue
-		}
-		p, ok := rt.Path(u, v)
-		if !ok || len(p) == 0 {
-			continue
-		}
-		paths = append(paths, p)
-		if len(p) > maxHops {
-			maxHops = len(p)
-		}
-	}
-	proc, err := Paths(m, paths, lambda)
-	if err != nil {
-		return nil, 0, err
-	}
-	return proc, maxHops, nil
-}
-
-// Hotspot sends the given fraction of the rate through paths ending at
-// one hot node, and spreads the rest across random pairs. It models the
-// skewed traffic matrices real deployments see.
-func Hotspot(rng *rand.Rand, m interference.Model, g *netgraph.Graph, hot netgraph.NodeID, hotFrac float64, k int, lambda float64) (*inject.Stochastic, int, error) {
-	if hotFrac < 0 || hotFrac > 1 {
-		return nil, 0, fmt.Errorf("traffic: hot fraction %v outside [0,1]", hotFrac)
-	}
-	rt := netgraph.NewRoutingTable(g)
-	var hotPaths, coldPaths []netgraph.Path
-	maxHops := 0
-	add := func(list *[]netgraph.Path, p netgraph.Path) {
-		*list = append(*list, p)
-		if len(p) > maxHops {
-			maxHops = len(p)
-		}
-	}
-	for v := netgraph.NodeID(0); int(v) < g.NumNodes() && len(hotPaths) < k; v++ {
-		if v == hot {
-			continue
-		}
-		if p, ok := rt.Path(v, hot); ok && len(p) > 0 {
-			add(&hotPaths, p)
-		}
-	}
-	attempts := 0
-	for len(coldPaths) < k {
-		attempts++
-		if attempts > 100*k {
-			break
-		}
-		u := netgraph.NodeID(rng.Intn(g.NumNodes()))
-		v := netgraph.NodeID(rng.Intn(g.NumNodes()))
-		if u == v {
-			continue
-		}
-		if p, ok := rt.Path(u, v); ok && len(p) > 0 {
-			add(&coldPaths, p)
-		}
-	}
-	if len(hotPaths) == 0 {
-		return nil, 0, fmt.Errorf("traffic: no routes into hot node %d", hot)
-	}
-	// Build the mixture: one generator per path, weighted by the split,
-	// then scale the whole mixture to the target rate.
-	var gens []inject.Generator
-	for _, p := range hotPaths {
-		gens = append(gens, inject.Generator{Choices: []inject.PathChoice{
-			{Path: p, P: 0.5 * hotFrac / float64(len(hotPaths))},
-		}})
-	}
-	for _, p := range coldPaths {
-		gens = append(gens, inject.Generator{Choices: []inject.PathChoice{
-			{Path: p, P: 0.5 * (1 - hotFrac) / float64(len(coldPaths))},
-		}})
-	}
-	proc, err := inject.StochasticAtRate(m, gens, lambda)
 	if err != nil {
 		return nil, 0, err
 	}

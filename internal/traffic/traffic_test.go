@@ -58,38 +58,6 @@ func TestConvergecast(t *testing.T) {
 	}
 }
 
-func TestRandomPairs(t *testing.T) {
-	rng := rand.New(rand.NewSource(301))
-	g := netgraph.GridNetwork(3, 3, 1)
-	m := interference.Identity{Links: g.NumLinks()}
-	proc, maxHops, err := RandomPairs(rng, m, g, 5, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxHops < 1 {
-		t.Errorf("max hops = %d", maxHops)
-	}
-	if math.Abs(proc.Rate()-0.3) > 1e-9 {
-		t.Errorf("rate = %v", proc.Rate())
-	}
-}
-
-func TestHotspot(t *testing.T) {
-	rng := rand.New(rand.NewSource(302))
-	g := netgraph.GridNetwork(3, 3, 1)
-	m := interference.Identity{Links: g.NumLinks()}
-	proc, _, err := Hotspot(rng, m, g, 4, 0.7, 4, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(proc.Rate()-0.25) > 1e-9 {
-		t.Errorf("rate = %v", proc.Rate())
-	}
-	if _, _, err := Hotspot(rng, m, g, 4, 1.5, 4, 0.25); err == nil {
-		t.Error("bad hot fraction accepted")
-	}
-}
-
 func TestWorkloadsActuallyInject(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	g := netgraph.GridNetwork(3, 3, 1)
