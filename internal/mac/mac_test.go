@@ -213,6 +213,9 @@ func TestMACNamesAndRemaining(t *testing.T) {
 			t.Errorf("%s: remaining = %d, want 3", alg.Name(), exec.Remaining())
 		}
 	}
+	if model.Name() != "multiple-access-channel" {
+		t.Error("model name changed")
+	}
 }
 
 func TestDecayPhiKnob(t *testing.T) {

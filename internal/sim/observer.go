@@ -85,7 +85,7 @@ func (BaseObserver) OnEnd(*Result) {}
 
 // latencyObserver reproduces the packet-latency metrics — all of them
 // streaming aggregates with bounded memory: a histogram of end-to-end
-// latencies, a mergeable quantile digest of the same values, and a
+// latencies, a quantile digest of the same values, and a
 // per-hop latency summary, excluding deliveries during the warm-up
 // period.
 type latencyObserver struct {

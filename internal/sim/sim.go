@@ -96,9 +96,8 @@ type Result struct {
 	// Latency is the per-packet latency histogram (delivery − injection),
 	// excluding the warm-up period.
 	Latency *stats.Histogram `json:"latency"`
-	// LatencyDigest is a mergeable quantile sketch of the same
-	// deliveries: unlike the histogram its shape is config-independent,
-	// so digests from different runs (or plan units) always merge.
+	// LatencyDigest is a quantile sketch of the same deliveries:
+	// unlike the histogram its shape does not depend on the config.
 	LatencyDigest *stats.Digest `json:"latencyDigest,omitempty"`
 	// HopLatency summarises latency divided by path length.
 	HopLatency stats.Summary `json:"hopLatency"`

@@ -230,6 +230,10 @@ func TestPerLinkMetricsAndFairness(t *testing.T) {
 		if res.PerLinkServed[e] > res.PerLinkAttempts[e] {
 			t.Fatalf("link %d served %d > attempted %d", e, res.PerLinkServed[e], res.PerLinkAttempts[e])
 		}
+		// Every link is served, and at most once per slot.
+		if s := res.PerLinkServed[e]; s <= 0 || s > res.Slots {
+			t.Fatalf("link %d served %d times in %d slots", e, s, res.Slots)
+		}
 		total += res.PerLinkServed[e]
 	}
 	if total != res.SuccessfulTx {

@@ -86,12 +86,13 @@ func TestModulePath(t *testing.T) {
 // its callers. It type-checks every non-test file of the module and of
 // perfbench (files chosen by go/build, so race_on/race_off resolve as
 // in a normal build) and walks the declarations reachable from the
-// production roots: main and init of every package, blank package-level
-// declarations, and the exported names of the dynsched and api packages
-// with the exported methods of the types they declare. A method also
-// counts as reached when its type is reached and implements an
-// interface that names it: one of the standard library, or one that
-// reached code of this module spells out.
+// production roots: main and init of every package, the interfaces
+// that blank package-level declarations assert, and the exported names
+// of the dynsched and api packages with the exported methods of every
+// module type a user of those packages can hold. A method also counts
+// as reached when its type is reached and implements an interface that
+// names it: one of the standard library, or one that reached code of
+// this module spells out.
 //
 // Every internal/ name the walk misses must be covered by an entry of
 // reachAllowlist, which then counts as a root; every entry must cover
@@ -132,57 +133,35 @@ const (
 	reachLater    = "oracle a ROADMAP item builds on"
 	reachModel    = "interference model the paper names"
 	reachTestHook = "test hook other packages' tests use"
-	reachPublic   = "public API: a method of a type the dynsched package exposes"
 )
 
 // reachAllowlist names the internal declarations kept although no
 // production root reaches them. An entry covers the name it spells and,
-// for a type or package, every name below it.
+// for a type or package, every name below it, so entries spell single
+// members unless all of a type or package is kept by design.
 var reachAllowlist = map[string]string{
 	"interference.NewDense":        reachOracle,
 	"interference.Dense.Set":       reachOracle,
 	"interference.ValidateWeights": reachOracle,
-	"interference.Sparse.Validate": reachOracle,
 	"geom.DistanceMatrix":          reachOracle,
 	"sinr.Affectance":              reachOracle,
 	"sinr.MonotoneSubLinear":       reachOracle,
 	"stats.Quantile":               reachOracle,
 
-	"inject.NewChecker":       reachLater + " (online (w,λ)-boundedness check for adversary fuzzing)",
-	"inject.Checker":          reachLater + " (online (w,λ)-boundedness check for adversary fuzzing)",
-	"stats.NewDriftEstimator": reachLater + " (Φ-trend test for unstable units)",
-	"stats.DriftEstimator":    reachLater + " (Φ-trend test for unstable units)",
+	"inject.NewChecker":                      reachLater + " (online (w,λ)-boundedness check for adversary fuzzing)",
+	"inject.Checker.Observe":                 reachLater + " (online (w,λ)-boundedness check for adversary fuzzing)",
+	"stats.NewDriftEstimator":                reachLater + " (Φ-trend test for unstable units)",
+	"stats.DriftEstimator.Observe":           reachLater + " (Φ-trend test for unstable units)",
+	"stats.DriftEstimator.Drift":             reachLater + " (Φ-trend test for unstable units)",
+	"stats.DriftEstimator.NegativeAboveZero": reachLater + " (Φ-trend test for unstable units)",
+	"stats.DriftEstimator.NumBuckets":        reachLater + " (Φ-trend test for unstable units)",
 
 	"conflict.ProtocolModel":     reachModel,
 	"conflict.Distance2Matching": reachModel,
 
-	"conflict.Random":              reachTestHook,
-	"conflict.Graph.Independent":   reachTestHook,
-	"netgraph.Graph.FindLink":      reachTestHook,
-	"journal.Truncate":             reachTestHook,
-	"testenv":                      reachTestHook,
-	"sinr.FixedPower":              reachTestHook + " (the bit-identity reference reads Graph, Params and Power)",
-	"sinr.PowerControl":            reachTestHook + " (the bit-identity reference reads Graph and Params)",
-	"interference.Sparse.NNZ":      reachTestHook,
-	"interference.Sparse.NumLinks": reachTestHook,
-
-	"geom.Point":                      reachPublic + " (dynsched.Point)",
-	"netgraph.Path":                   reachPublic + " (dynsched.Path)",
-	"inject.Trace":                    reachPublic + " (dynsched.InjectionTrace; README documents WriteNDJSON)",
-	"conflict.Graph.NumLinks":         reachPublic + " (dynsched.ConflictGraph)",
-	"core.Protocol.QueueLen":          reachPublic + " (dynsched.Protocol)",
-	"baseline.MaxWeight.QueueLen":     reachPublic + " (dynsched.NewMaxWeight)",
-	"baseline.MACFallback.QueueLen":   reachPublic + " (dynsched.NewMACFallback)",
-	"baseline.FIFOGreedy.QueueLen":    reachPublic + " (dynsched.NewFIFOGreedy)",
-	"lowerbound.LocalGreedy.QueueLen": reachPublic + " (dynsched.NewLocalGreedy)",
-	"stats.Digest.N":                  reachPublic + " (dynsched.SimResult.LatencyDigest)",
-	"stats.Digest.Mean":               reachPublic + " (dynsched.SimResult.LatencyDigest)",
-	"stats.Digest.Min":                reachPublic + " (dynsched.SimResult.LatencyDigest)",
-	"stats.Digest.Max":                reachPublic + " (dynsched.SimResult.LatencyDigest)",
-	"stats.Digest.Quantile":           reachPublic + " (dynsched.SimResult.LatencyDigest)",
-	"stats.Summary.N":                 reachPublic + " (dynsched.SimResult.HopLatency)",
-	"stats.Summary.Min":               reachPublic + " (dynsched.SimResult.HopLatency)",
-	"stats.Summary.Max":               reachPublic + " (dynsched.SimResult.HopLatency)",
+	"conflict.Random":  reachTestHook,
+	"journal.Truncate": reachTestHook,
+	"testenv":          reachTestHook,
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -206,6 +185,7 @@ type reachScan struct {
 	work    []types.Object
 	ifaces  map[*types.Interface]bool
 	types   []*types.TypeName // reached non-interface named types
+	exposed map[*types.TypeName]bool
 }
 
 type reachPkg struct {
@@ -232,6 +212,7 @@ func loadReachScan(dir string) (*reachScan, error) {
 		decls:   map[types.Object]reachDecl{},
 		reached: map[types.Object]bool{},
 		ifaces:  map[*types.Interface]bool{},
+		exposed: map[*types.TypeName]bool{},
 	}
 	s.std = importer.ForCompiler(s.fset, "source", nil)
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
@@ -273,10 +254,18 @@ func loadReachScan(dir string) (*reachScan, error) {
 		if _, err := s.check(p); err != nil {
 			return nil, err
 		}
-		api := p.path == reachModule || p.path == reachModule+"/api"
 		for _, f := range p.files {
 			for _, decl := range f.Decls {
-				roots = append(roots, s.index(p, decl, api)...)
+				roots = append(roots, s.index(p, decl)...)
+			}
+		}
+	}
+	for _, path := range []string{reachModule, reachModule + "/api"} {
+		scope := s.pkgs[path].pkg.Scope()
+		for _, name := range scope.Names() {
+			if obj := scope.Lookup(name); obj.Exported() {
+				s.reach(obj)
+				s.expose(obj.Type())
 			}
 		}
 	}
@@ -314,41 +303,35 @@ func (s *reachScan) check(p *reachPkg) (*types.Package, error) {
 	return pkg, nil
 }
 
-// index records the package-level objects decl declares, queues those
-// an API package exports, and returns the parts of decl that are roots
-// by themselves: main, init and blank declarations.
-func (s *reachScan) index(p *reachPkg, decl ast.Decl, api bool) []reachDecl {
+// index records the package-level objects decl declares and returns
+// the parts of decl that are roots by themselves: main, init, and the
+// asserted interface of a blank declaration. The value a blank
+// declaration asserts is no root, or a type would be kept live by its
+// own assertion; an untyped blank declaration roots its initializer,
+// which runs at init.
+func (s *reachScan) index(p *reachPkg, decl ast.Decl) []reachDecl {
 	var roots []reachDecl
-	add := func(id *ast.Ident, node ast.Node, exported bool) {
-		obj := p.info.Defs[id]
-		if _, isFunc := node.(*ast.FuncDecl); id.Name == "_" || isFunc && (id.Name == "init" || id.Name == "main" && p.pkg.Name() == "main") {
-			roots = append(roots, reachDecl{node, p})
-			return
-		}
-		s.decls[obj] = reachDecl{node, p}
-		if api && exported {
-			s.reach(obj)
-		}
-	}
 	switch d := decl.(type) {
 	case *ast.FuncDecl:
-		if d.Recv != nil {
-			obj := p.info.Defs[d.Name]
-			s.decls[obj] = reachDecl{d, p}
-			if api && d.Name.IsExported() && recvExported(d.Recv.List[0].Type) {
-				s.reach(obj)
-			}
-			return nil
+		if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.pkg.Name() == "main") {
+			return []reachDecl{{d, p}}
 		}
-		add(d.Name, d, d.Name.IsExported())
+		s.decls[p.info.Defs[d.Name]] = reachDecl{d, p}
 	case *ast.GenDecl:
 		for _, spec := range d.Specs {
 			switch sp := spec.(type) {
 			case *ast.TypeSpec:
-				add(sp.Name, sp, sp.Name.IsExported())
+				s.decls[p.info.Defs[sp.Name]] = reachDecl{sp, p}
 			case *ast.ValueSpec:
 				for _, id := range sp.Names {
-					add(id, sp, id.IsExported())
+					switch {
+					case id.Name != "_":
+						s.decls[p.info.Defs[id]] = reachDecl{sp, p}
+					case sp.Type != nil:
+						roots = append(roots, reachDecl{sp.Type, p})
+					default:
+						roots = append(roots, reachDecl{sp, p})
+					}
 				}
 			}
 		}
@@ -356,19 +339,52 @@ func (s *reachScan) index(p *reachPkg, decl ast.Decl, api bool) []reachDecl {
 	return roots
 }
 
-func recvExported(expr ast.Expr) bool {
-	for {
-		switch e := expr.(type) {
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.IndexListExpr:
-			expr = e.X
-		case *ast.Ident:
-			return e.IsExported()
-		default:
-			return false
+// expose reaches t's module types and their exported methods, and goes
+// on through the exported fields and method signatures of those types:
+// everything a user of the API can call once it holds a value of t.
+func (s *reachScan) expose(t types.Type) {
+	switch t := t.(type) {
+	case *types.Named:
+		tn := t.Origin().Obj()
+		if tn.Pkg() == nil || s.pkgs[tn.Pkg().Path()] == nil || s.exposed[tn] {
+			return
+		}
+		s.exposed[tn] = true
+		s.reach(tn)
+		mset := types.NewMethodSet(types.NewPointer(t))
+		for i := 0; i < mset.Len(); i++ {
+			if m := mset.At(i).Obj(); m.Exported() {
+				s.reach(m)
+				s.expose(m.Type())
+			}
+		}
+		s.expose(t.Underlying())
+	case *types.Pointer:
+		s.expose(t.Elem())
+	case *types.Slice:
+		s.expose(t.Elem())
+	case *types.Array:
+		s.expose(t.Elem())
+	case *types.Map:
+		s.expose(t.Key())
+		s.expose(t.Elem())
+	case *types.Chan:
+		s.expose(t.Elem())
+	case *types.Signature:
+		for _, tup := range []*types.Tuple{t.Params(), t.Results()} {
+			for i := 0; i < tup.Len(); i++ {
+				s.expose(tup.At(i).Type())
+			}
+		}
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if f := t.Field(i); f.Exported() || f.Embedded() {
+				s.expose(f.Type())
+			}
+		}
+	case *types.Interface:
+		for i := 0; i < t.NumMethods(); i++ {
+			s.expose(t.Method(i).Type())
 		}
 	}
 }
